@@ -22,13 +22,22 @@ echo "== conformance: fuzz smoke (fixed seed, offline) =="
 # The checked-in regression corpus replays as part of `cargo test` above.
 ./target/release/uve-conform --engine all --seed 7 --cases 2000 --quiet
 
+echo "== timing replay: quiet-cycle skip vs cycle-exact stepping =="
+# 500 dedicated stats-engine cases: besides the accounting conservation
+# laws and serial == parallel runner identity, every case replays its
+# trace cold and warm with the quiet-cycle skip and one cycle at a time,
+# and every TimingStats counter must match (the `all` run above only gives
+# the stats engine a sliver of the budget).
+./target/release/uve-conform --engine stats --seed 7 --cases 500 --quiet
+
 echo "== fault subsystem: conform smoke + watchdog + poisoned-job isolation =="
 # 2000 dedicated fault-engine cases: never panic, recover bit-identically,
 # keep the cycle accounting conserved under injection (the `all` run above
 # only gives the fault engine a tenth of the budget).
 ./target/release/uve-conform --engine fault --seed 7 --cases 2000 --quiet
 # The no-retire watchdog must turn a deadlocked timing run into a
-# catchable diagnostic dump rather than a hang.
+# catchable diagnostic dump rather than a hang, at the exact cycle it is
+# due (a quiet-cycle skip must not jump past it).
 cargo test -q -p uve-cpu --offline watchdog_dumps_accounting_on_deadlock
 # One poisoned job must not take down a sweep: pool-level catch_unwind
 # isolation and the runner's repro-line reporting.

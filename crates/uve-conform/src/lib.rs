@@ -21,8 +21,9 @@
 //!   the Rust reference and across vector lengths;
 //! - [`stats_diff`] — the cycle-accounting observability layer: random
 //!   small timing runs checked for conservation (stall categories
-//!   partition the cycles) and for bit-identical statistics between the
-//!   serial and parallel evaluation runners;
+//!   partition the cycles), for bit-identical statistics between the
+//!   serial and parallel evaluation runners, and for bit-identical
+//!   statistics between quiet-cycle skipping and cycle-exact replay;
 //! - [`fault_fuzz`] — the fault subsystem: random kernels run under
 //!   injected stream faults and hostile memory-hierarchy schedules,
 //!   checked to never panic, to recover bit-identically (memory and

@@ -11,7 +11,10 @@
 //!    profile accounts for every demand read and DRAM transaction;
 //! 2. the two [`TimingStats`] are **bit-identical** — the parallel runner
 //!    must not perturb a single counter;
-//! 3. the rendered `--explain` report strings are byte-identical.
+//! 3. the rendered `--explain` report strings are byte-identical;
+//! 4. skipping quiet cycles is invisible: the cold and warm passes of the
+//!    production replay equal the cycle-exact reference
+//!    ([`OoOCore::run_warm_exact`]) counter for counter.
 //!
 //! Kernel sizes are capped well below the figure-generation sizes so a
 //! few thousand cases stay cheap: the point is coverage of the
@@ -24,7 +27,7 @@ use crate::rng::FuzzRng;
 use crate::Engine;
 use uve_bench::{Job, Runner, StatsReport};
 use uve_core::engine::EngineConfig;
-use uve_cpu::CpuConfig;
+use uve_cpu::{CpuConfig, OoOCore};
 use uve_kernels::Flavor;
 
 /// One stats-conformance case.
@@ -116,6 +119,25 @@ impl Engine for StatsEngine {
                 "{}/{}: --explain report differs across runner modes:\n{rendered}\nvs\n{rendered_par}",
                 serial.name, case.flavor
             ));
+        }
+
+        let trace = uve_kernels::run(bench.as_ref(), case.flavor)
+            .map_err(|e| format!("{}/{}: {e}", serial.name, case.flavor))?
+            .result
+            .trace;
+        let core = OoOCore::new(cpu);
+        let (cold, warm) = core.run_warm_exact(&trace);
+        for (pass, skipped, exact) in [
+            ("cold", core.run(&trace), cold),
+            ("warm", core.run_warm(&trace), warm),
+        ] {
+            if skipped != exact {
+                return Err(format!(
+                    "{}/{}: quiet-cycle skip changed the {pass} pass:\n\
+                     skipping:    {skipped:?}\ncycle-exact: {exact:?}",
+                    serial.name, case.flavor
+                ));
+            }
         }
         Ok(())
     }

@@ -25,7 +25,6 @@
 //! requests (architectural opportunity A3).
 
 use crate::trace::{ChunkMeta, StreamInstance, StreamTrace};
-use std::collections::HashMap;
 use uve_isa::{Dir, MemLevel};
 use uve_mem::{MemPort, Path, Translation, LINE_BYTES};
 
@@ -124,6 +123,12 @@ pub struct FifoProfile {
 impl FifoProfile {
     /// Records one occupancy sample for stream register `u`.
     pub fn record(&mut self, u: u8, occ: usize) {
+        self.record_n(u, occ, 1);
+    }
+
+    /// Records `n` samples of stream register `u` at occupancy `occ` — the
+    /// bulk form of [`record`](Self::record) for cycles the engine sat idle.
+    pub fn record_n(&mut self, u: u8, occ: usize, n: u64) {
         let u = usize::from(u);
         if self.hist.len() <= u {
             self.hist.resize(u + 1, Vec::new());
@@ -132,8 +137,8 @@ impl FifoProfile {
         if row.len() <= occ {
             row.resize(occ + 1, 0);
         }
-        row[occ] += 1;
-        self.samples += 1;
+        row[occ] += n;
+        self.samples += n;
     }
 
     /// Cycles stream register `u` was open (its row sum).
@@ -209,6 +214,9 @@ pub struct EngineStats {
 
 #[derive(Debug)]
 struct EngStream {
+    instance: StreamInstance,
+    /// Architectural stream register (for FIFO occupancy sampling).
+    u: u8,
     dir: Dir,
     path: Path,
     /// Engine may start processing at this cycle (after SCROB).
@@ -244,10 +252,16 @@ impl EngStream {
 }
 
 /// The cycle-level Streaming Engine.
+///
+/// Open streams live in a small vector (at most `max_streams` of them in a
+/// well-formed trace) searched by instance; the scheduler's candidate list
+/// is a reused buffer, so a cycle allocates nothing.
 #[derive(Debug)]
 pub struct EngineSim {
     cfg: EngineConfig,
-    streams: HashMap<StreamInstance, EngStream>,
+    streams: Vec<EngStream>,
+    /// Scheduler scratch: `(occupancy, instance, position in streams)`.
+    eligible: Vec<(usize, StreamInstance, usize)>,
     scrob_free: u64,
     stats: EngineStats,
 }
@@ -257,7 +271,8 @@ impl EngineSim {
     pub fn new(cfg: EngineConfig) -> Self {
         Self {
             cfg,
-            streams: HashMap::new(),
+            streams: Vec::new(),
+            eligible: Vec::new(),
             scrob_free: 0,
             stats: EngineStats::default(),
         }
@@ -279,73 +294,90 @@ impl EngineSim {
     pub fn open(&mut self, instance: StreamInstance, info: &StreamTrace, now: u64) {
         let start = self.scrob_free.max(now) + u64::from(info.cfg_insts);
         self.scrob_free = start;
-        let path = level_path(info.level);
-        self.streams.insert(
+        let stream = EngStream {
             instance,
-            EngStream {
-                dir: info.dir,
-                path,
-                start_cycle: start,
-                next_chunk: 0,
-                line_idx: 0,
-                penalty: 0,
-                penalty_charged: false,
-                inflight_ready: 0,
-                ready: Vec::new(),
-                last_line: None,
-                committed: 0,
-                attempts: 0,
-                retry_at: 0,
-            },
-        );
+            u: info.u,
+            dir: info.dir,
+            path: level_path(info.level),
+            start_cycle: start,
+            next_chunk: 0,
+            line_idx: 0,
+            penalty: 0,
+            penalty_charged: false,
+            inflight_ready: 0,
+            ready: Vec::new(),
+            last_line: None,
+            committed: 0,
+            attempts: 0,
+            retry_at: 0,
+        };
+        match self.position(instance) {
+            Some(pos) => self.streams[pos] = stream,
+            None => self.streams.push(stream),
+        }
         self.stats.peak_streams = self.stats.peak_streams.max(self.streams.len());
     }
 
     /// Deallocates a stream's engine structures (termination at commit).
     pub fn close(&mut self, instance: StreamInstance) {
-        self.streams.remove(&instance);
+        if let Some(pos) = self.position(instance) {
+            self.streams.swap_remove(pos);
+        }
+    }
+
+    fn position(&self, instance: StreamInstance) -> Option<usize> {
+        self.streams.iter().position(|s| s.instance == instance)
+    }
+
+    fn get(&self, instance: StreamInstance) -> Option<&EngStream> {
+        self.streams.iter().find(|s| s.instance == instance)
+    }
+
+    fn get_mut(&mut self, instance: StreamInstance) -> Option<&mut EngStream> {
+        self.streams.iter_mut().find(|s| s.instance == instance)
     }
 
     /// Advances the engine by one cycle: the scheduler picks up to
     /// `processing_modules` streams (lowest FIFO occupancy first) and each
     /// processes one address-generator step against the memory hierarchy.
     ///
+    /// Returns `false` when no stream was eligible: the engine then changed
+    /// nothing but its occupancy samples, and stays idle until
+    /// [`next_event`](Self::next_event) unless a commit or a newly opened
+    /// stream frees it first.
+    ///
     /// Generic over [`MemPort`] so the same engine runs against the
     /// single-core hierarchy or one core's port into the shared multicore
     /// hierarchy.
-    pub fn tick<M: MemPort>(&mut self, now: u64, streams: &[StreamTrace], mem: &mut M) {
-        // Observability: sample every open stream's FIFO occupancy. The
-        // iteration order over the HashMap is arbitrary, but the samples are
-        // commutative counter increments, so the result is deterministic.
-        for (inst, s) in self.streams.iter() {
-            self.stats
-                .fifo
-                .record(streams[*inst as usize].u, s.occupancy());
+    pub fn tick<M: MemPort>(&mut self, now: u64, streams: &[StreamTrace], mem: &mut M) -> bool {
+        // Observability: sample every open stream's FIFO occupancy.
+        for s in &self.streams {
+            self.stats.fifo.record(s.u, s.occupancy());
         }
-        // Scheduler: select eligible streams by ascending occupancy.
-        let mut eligible: Vec<(usize, StreamInstance)> = self
-            .streams
-            .iter()
-            .filter(|(inst, s)| {
-                s.start_cycle <= now
-                    && s.retry_at <= now
-                    && s.next_chunk < streams[**inst as usize].chunks.len()
-                    && s.occupancy() < self.cfg.fifo_depth
-            })
-            .map(|(inst, s)| (s.occupancy(), *inst))
-            .collect();
+        // Scheduler: select eligible streams by ascending occupancy
+        // (instance breaks ties, so the order is total).
+        let mut eligible = std::mem::take(&mut self.eligible);
+        eligible.clear();
+        eligible.extend(
+            self.streams
+                .iter()
+                .enumerate()
+                .filter(|(_, s)| {
+                    s.start_cycle <= now
+                        && s.retry_at <= now
+                        && s.next_chunk < streams[s.instance as usize].chunks.len()
+                        && s.occupancy() < self.cfg.fifo_depth
+                })
+                .map(|(pos, s)| (s.occupancy(), s.instance, pos)),
+        );
         eligible.sort_unstable();
         eligible.truncate(self.cfg.processing_modules);
-        if !eligible.is_empty() {
+        let active = !eligible.is_empty();
+        if active {
             self.stats.active_cycles += 1;
         }
-        for (_, inst) in eligible {
-            // `eligible` was drawn from `self.streams` above; a missing
-            // entry would be a scheduler bug, degraded to a skipped slot
-            // rather than a panic.
-            let Some(s) = self.streams.get_mut(&inst) else {
-                continue;
-            };
+        for &(_, inst, pos) in &eligible {
+            let s = &mut self.streams[pos];
             let chunks: &[ChunkMeta] = &streams[inst as usize].chunks;
             let chunk = &chunks[s.next_chunk];
             if s.line_idx == 0 && !s.penalty_charged && chunk.dim_switches > 0 {
@@ -437,24 +469,46 @@ impl EngineSim {
             }
             s.line_idx += 1;
             if s.line_idx == chunk.lines.len() {
-                static TRACE: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-                let trace_on = *TRACE.get_or_init(|| std::env::var("UVE_ENGINE_TRACE").is_ok());
-                if trace_on && (s.next_chunk % 512 < 4) {
-                    eprintln!(
-                        "engine: inst={inst} chunk={} fetched_at={now} ready={} committed={}",
-                        s.next_chunk,
-                        s.inflight_ready.max(now),
-                        s.committed
-                    );
-                }
                 finish_chunk(s, now, &mut self.stats);
             }
+        }
+        self.eligible = eligible;
+        active
+    }
+
+    /// The earliest cycle `>= now` at which an open stream's state changes
+    /// with time alone: its configuration completes (`start_cycle`), its
+    /// fault backoff ends (`retry_at`), or a buffered chunk becomes ready.
+    /// Chunks below a stream's commit point were consumed by committed
+    /// instructions and are not waited on. `u64::MAX` if there is none.
+    pub fn next_event(&self, now: u64) -> u64 {
+        let mut next = u64::MAX;
+        for s in &self.streams {
+            let pending = s.ready.get(s.committed..).unwrap_or(&[]);
+            for t in [s.start_cycle, s.retry_at]
+                .into_iter()
+                .chain(pending.iter().copied())
+            {
+                if t >= now {
+                    next = next.min(t);
+                }
+            }
+        }
+        next
+    }
+
+    /// Records `cycles` idle cycles' FIFO occupancy samples at once: what
+    /// that many calls to [`tick`](Self::tick) returning `false` would
+    /// sample, since no occupancy changes while the engine is idle.
+    pub fn sample_idle(&mut self, cycles: u64) {
+        for s in &self.streams {
+            self.stats.fifo.record_n(s.u, s.occupancy(), cycles);
         }
     }
 
     /// Availability of a chunk at the register-file interface.
     pub fn chunk_status(&self, instance: StreamInstance, chunk: u32) -> ChunkStatus {
-        match self.streams.get(&instance) {
+        match self.get(instance) {
             Some(s) => match s.ready.get(chunk as usize) {
                 Some(&r) => ChunkStatus::Ready(r),
                 None => ChunkStatus::NotFetched,
@@ -465,7 +519,7 @@ impl EngineSim {
 
     /// Commits a consumed load chunk, freeing its FIFO entry.
     pub fn commit_read(&mut self, instance: StreamInstance, chunk: u32) {
-        if let Some(s) = self.streams.get_mut(&instance) {
+        if let Some(s) = self.get_mut(instance) {
             s.committed = s.committed.max(chunk as usize + 1);
         }
     }
@@ -480,7 +534,7 @@ impl EngineSim {
         streams: &[StreamTrace],
         mem: &mut M,
     ) {
-        if let Some(s) = self.streams.get_mut(&instance) {
+        if let Some(s) = self.get_mut(instance) {
             s.committed = s.committed.max(chunk as usize + 1);
             let path = s.path;
             if let Some(meta) = streams[instance as usize].chunks.get(chunk as usize) {
@@ -508,8 +562,7 @@ impl EngineSim {
     /// mid-retry) — the core attributes head-of-ROB stalls on such a
     /// stream to the `fault-replay` cycle category.
     pub fn in_fault_replay(&self, instance: StreamInstance, now: u64) -> bool {
-        self.streams
-            .get(&instance)
+        self.get(instance)
             .is_some_and(|s| s.attempts > 0 || s.retry_at > now)
     }
 
@@ -519,7 +572,7 @@ impl EngineSim {
         let mut v: Vec<(StreamInstance, usize)> = self
             .streams
             .iter()
-            .map(|(inst, s)| (*inst, s.occupancy()))
+            .map(|s| (s.instance, s.occupancy()))
             .collect();
         v.sort_unstable();
         v

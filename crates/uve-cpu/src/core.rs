@@ -15,8 +15,8 @@
 use crate::config::CpuConfig;
 use crate::events::{ChunkSpan, EventLog, FifoPoint, OpSpan};
 use crate::predictor::Bimodal;
-use crate::stats::{CycleAccount, RenameBlockReason, TimingStats};
-use std::collections::{HashMap, VecDeque};
+use crate::stats::{CycleAccount, RenameBlockReason, Stall, TimingStats};
+use std::collections::VecDeque;
 use uve_core::engine::{ChunkStatus, EngineSim};
 use uve_core::{Trace, TraceOp};
 use uve_isa::{Dir, ExecClass, RegClass, RegRef};
@@ -97,10 +97,32 @@ fn watchdog_report(
     out
 }
 
-#[derive(Debug)]
+/// An issue-queue entry: the op, how many in-flight producers it waits on
+/// (listed in [`CorePipeline::deps`] at the op's ROB ring slot), and
+/// whether it is a store (for the memory cluster's port limits), so that
+/// an entry still waiting on registers is skipped without reading its op.
+#[derive(Debug, Clone, Copy)]
 struct IqEntry {
     idx: usize,
-    deps: Vec<usize>,
+    ndeps: usize,
+    is_store: bool,
+}
+
+/// What a quiet cycle charged. Until the next event every cycle would
+/// charge the same, so the skip repeats it in bulk.
+#[derive(Debug, Clone, Copy)]
+struct Quiet {
+    stall: Stall,
+    rename_block: Option<RenameBlockReason>,
+}
+
+/// Registers per class in the flat `last_writer` table (`RegRef::num` is a
+/// `u8`).
+const REGS_PER_CLASS: usize = 256;
+const NO_WRITER: usize = usize::MAX;
+
+fn reg_slot(r: RegRef) -> usize {
+    class_idx(r.class) * REGS_PER_CLASS + usize::from(r.num)
 }
 
 /// The out-of-order core model.
@@ -137,6 +159,18 @@ impl OoOCore {
         self.run_with(trace, &mut mem)
     }
 
+    /// [`run_warm`](Self::run_warm) stepping every cycle with
+    /// [`CorePipeline::step_cycle`] — the cycle-exact reference that the
+    /// quiet-cycle skip of [`CorePipeline::step`] must match bit for bit.
+    /// Returns the cold and the warm pass.
+    pub fn run_warm_exact(&self, trace: &Trace) -> (TimingStats, TimingStats) {
+        let mut mem = MemSystem::new(self.cfg.mem.clone());
+        let cold = self.run_inner(trace, &mut mem, None, CorePipeline::step_cycle);
+        mem.reset_stats();
+        let warm = self.run_inner(trace, &mut mem, None, CorePipeline::step_cycle);
+        (cold, warm)
+    }
+
     /// Simulates the trace once over a fresh (cold) hierarchy while
     /// capturing per-instruction pipeline spans, stream chunk load-to-use
     /// spans and FIFO occupancy timelines — the single-run visualization
@@ -144,7 +178,7 @@ impl OoOCore {
     pub fn run_traced(&self, trace: &Trace) -> (TimingStats, EventLog) {
         let mut mem = MemSystem::new(self.cfg.mem.clone());
         let mut log = EventLog::default();
-        let stats = self.run_inner(trace, &mut mem, Some(&mut log));
+        let stats = self.run_inner(trace, &mut mem, Some(&mut log), CorePipeline::step);
         log.cycles = stats.cycles;
         (stats, log)
     }
@@ -157,7 +191,7 @@ impl OoOCore {
     /// Panics if the simulation exceeds `max_cycles` (a model bug, not a
     /// user error).
     pub fn run_with(&self, trace: &Trace, mem: &mut MemSystem) -> TimingStats {
-        self.run_inner(trace, mem, None)
+        self.run_inner(trace, mem, None, CorePipeline::step)
     }
 
     fn run_inner(
@@ -165,13 +199,14 @@ impl OoOCore {
         trace: &Trace,
         mem: &mut MemSystem,
         mut events: Option<&mut EventLog>,
+        step: fn(&mut CorePipeline, &Trace, &mut MemSystem, Option<&mut EventLog>),
     ) -> TimingStats {
         if trace.ops.is_empty() {
             return TimingStats::empty();
         }
         let mut pipe = CorePipeline::new(self.cfg.clone(), trace, 0, events.is_some());
         while !pipe.finished() {
-            pipe.step(trace, mem, events.as_deref_mut());
+            step(&mut pipe, trace, mem, events.as_deref_mut());
         }
         pipe.finish(mem)
     }
@@ -206,13 +241,18 @@ pub struct CorePipeline {
     lq_used: usize,
     sq_used: usize,
     free_regs: [usize; 4],
+    /// Scheduler clusters, each in age (op index) order.
     iq: [Vec<IqEntry>; 3],
-    last_writer: HashMap<RegRef, usize>,
+    /// In-flight producers of each queued op: `dep_stride` slots per ROB
+    /// ring slot, of which the op's [`IqEntry::ndeps`] are used.
+    /// `dep_stride` is the trace's widest source list, so it always fits.
+    deps: Vec<usize>,
+    dep_stride: usize,
+    /// Youngest renamed writer of each architectural register, indexed by
+    /// [`reg_slot`].
+    last_writer: Vec<usize>,
     stats: TimingStats,
     now: u64,
-    dbg: bool,
-    dbg_rename: Vec<u64>,
-    dbg_issue: Vec<u64>,
     /// Per-load issue outcome for stall attribution, in a ring indexed by
     /// op index modulo the ROB size: at most `rob_entries` ops are in
     /// flight, so slots are never reused before the head retires.
@@ -236,10 +276,9 @@ impl CorePipeline {
         let n = trace.ops.len();
         let engine = EngineSim::new(cfg.engine);
         let predictor = Bimodal::new(cfg.predictor_entries);
-        static DBG: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-        let dbg = *DBG.get_or_init(|| std::env::var("UVE_CPU_TRACE").is_ok());
         let ring = cfg.rob_entries.max(1);
         let free_regs = cfg.free_regs();
+        let dep_stride = trace.ops.iter().map(|op| op.srcs.len()).max().unwrap_or(0);
         Self {
             cfg,
             core_id,
@@ -257,12 +296,11 @@ impl CorePipeline {
             sq_used: 0,
             free_regs,
             iq: [Vec::new(), Vec::new(), Vec::new()],
-            last_writer: HashMap::new(),
+            deps: vec![0; ring * dep_stride],
+            dep_stride,
+            last_writer: vec![NO_WRITER; 4 * REGS_PER_CLASS],
             stats: TimingStats::empty(),
             now: 0,
-            dbg,
-            dbg_rename: if dbg { vec![0; n] } else { Vec::new() },
-            dbg_issue: if dbg { vec![0; n] } else { Vec::new() },
             ring,
             load_info: vec![(0, 0, false, false); ring],
             track,
@@ -328,19 +366,113 @@ impl CorePipeline {
         self.stats
     }
 
-    /// Advances the pipeline by one cycle against `mem`.
+    /// Advances the pipeline by one cycle against `mem`, then, if that
+    /// cycle was quiet, jumps straight to the next cycle at which any
+    /// stage could act.
+    ///
+    /// A cycle is *quiet* when it committed, issued, renamed and fetched
+    /// nothing and the Streaming Engine found no eligible stream. Every
+    /// stage then waits on a known timestamp (an op completing, a
+    /// mispredict redirect, a head load leaving the MSHR queue, a stream's
+    /// configuration, fault backoff or buffered chunk), so each following
+    /// cycle up to the earliest of them would repeat the quiet cycle's
+    /// charges exactly; those are applied in bulk instead. Results are
+    /// bit-identical to calling [`step_cycle`](Self::step_cycle) until
+    /// `now()` reaches the same cycle. The jump never passes the cycle at
+    /// which the no-retire watchdog fires or `max_cycles`.
     ///
     /// # Panics
     ///
     /// Panics if the run exceeds `max_cycles` or the no-retire watchdog
     /// fires (model bugs, not user errors).
+    pub fn step<M: MemPort>(&mut self, trace: &Trace, mem: &mut M, events: Option<&mut EventLog>) {
+        if let Some(quiet) = self.cycle(trace, mem, events) {
+            self.skip_quiet(trace, quiet);
+        }
+    }
+
+    /// Advances the pipeline by exactly one cycle against `mem` — for
+    /// drivers that act between cycles (preemptive scheduling counts
+    /// quanta and restore ticks per cycle).
+    ///
+    /// # Panics
+    ///
+    /// As [`step`](Self::step).
+    pub fn step_cycle<M: MemPort>(
+        &mut self,
+        trace: &Trace,
+        mem: &mut M,
+        events: Option<&mut EventLog>,
+    ) {
+        self.cycle(trace, mem, events);
+    }
+
+    /// Charges the cycles from `now` up to the next event as repeats of
+    /// the quiet cycle just simulated, and advances `now` there.
+    fn skip_quiet(&mut self, trace: &Trace, quiet: Quiet) {
+        let now = self.now;
+        let watchdog_fires = self
+            .last_commit_cycle
+            .saturating_add(self.cfg.watchdog_cycles)
+            .saturating_add(1);
+        let target = self
+            .next_event(trace)
+            .min(watchdog_fires)
+            .min(self.cfg.max_cycles);
+        if target <= now {
+            return;
+        }
+        let skipped = target - now;
+        self.stats.account.charge(quiet.stall, skipped);
+        if let Some(reason) = quiet.rename_block {
+            self.stats.rename_blocked_cycles += skipped;
+            self.stats.rename_block_reasons.bump(reason, skipped);
+        }
+        self.engine.sample_idle(skipped);
+        // The deadline poll of every skipped multiple of 0x10000.
+        if (target - 1) >> 16 != (now - 1) >> 16 {
+            uve_core::deadline::check("timing model");
+        }
+        self.now = target;
+    }
+
+    /// The earliest cycle `>= now` at which a waiting stage can act: an
+    /// in-flight op completes (commit, wakeup, head attribution), a
+    /// mispredict redirect ends, the head load's MSHR wait ends (its
+    /// attribution moves from `mshr` to `dram`/`cache`), or an engine
+    /// event ([`EngineSim::next_event`]).
+    fn next_event(&self, trace: &Trace) -> u64 {
+        let now = self.now;
+        let future = |t: u64| if t >= now { t } else { u64::MAX };
+        let in_flight = &self.done[self.commit_ptr..self.commit_ptr + self.rob_used];
+        let mut next = in_flight
+            .iter()
+            .fold(self.engine.next_event(now), |m, &d| m.min(future(d)));
+        if let Some(b) = self.fetch_stalled_on {
+            if self.done[b] != NOT_DONE {
+                next = next.min(future(
+                    self.done[b].saturating_add(self.cfg.mispredict_penalty),
+                ));
+            }
+        }
+        if self.rob_used > 0 && self.done[self.commit_ptr] != NOT_DONE {
+            let head = &trace.ops[self.commit_ptr];
+            if head.exec == ExecClass::Load && !head.mem_lines.is_empty() {
+                let (issue, mshr_wait, _, _) = self.load_info[self.commit_ptr % self.ring];
+                next = next.min(future(issue + mshr_wait));
+            }
+        }
+        next
+    }
+
+    /// Simulates one cycle; returns what it charged if it was quiet.
     #[allow(clippy::too_many_lines)]
-    pub fn step<M: MemPort>(
+    fn cycle<M: MemPort>(
         &mut self,
         trace: &Trace,
         mem: &mut M,
         mut events: Option<&mut EventLog>,
-    ) {
+    ) -> Option<Quiet> {
         let now = self.now;
         assert!(
             now < self.cfg.max_cycles,
@@ -423,21 +555,6 @@ impl CorePipeline {
                 _ => {}
             }
             self.rob_used -= 1;
-            if self.dbg
-                && ((3000..3060).contains(&idx)
-                    || (self.dbg_rename[idx] > 0 && now.saturating_sub(self.dbg_rename[idx]) > 200))
-            {
-                eprintln!(
-                    "op{idx} pc={} {:?} rename={} issue={} done={} commit={now} sr={:?} sw={:?}",
-                    op.pc,
-                    op.exec,
-                    self.dbg_rename[idx],
-                    self.dbg_issue[idx],
-                    self.done[idx],
-                    op.stream_reads,
-                    op.stream_writes
-                );
-            }
             if let Some(log) = events.as_deref_mut() {
                 log.ops.push(OpSpan {
                     idx: idx as u32,
@@ -465,6 +582,7 @@ impl CorePipeline {
         let mut stores_issued = 0;
         #[allow(clippy::needless_range_loop)] // `cl` selects ports too
         for cl in 0..3 {
+            let issued_before = issued_total;
             let mut i = 0;
             while i < self.iq[cl].len() {
                 if issued_total >= self.cfg.issue_width {
@@ -478,32 +596,36 @@ impl CorePipeline {
                 if !ports_ok {
                     break;
                 }
-                let entry = &self.iq[cl][i];
+                let entry = self.iq[cl][i];
                 let idx = entry.idx;
-                let op = &trace.ops[idx];
                 // Per-port limits within the memory cluster.
                 if cl == CL_MEM {
-                    let is_store = op.exec == ExecClass::Store;
-                    if is_store && stores_issued >= self.cfg.store_ports {
-                        i += 1;
-                        continue;
-                    }
-                    if !is_store && loads_issued >= self.cfg.load_ports {
+                    let port_free = if entry.is_store {
+                        stores_issued < self.cfg.store_ports
+                    } else {
+                        loads_issued < self.cfg.load_ports
+                    };
+                    if !port_free {
                         i += 1;
                         continue;
                     }
                 }
                 // Register dependencies.
-                let deps_ready = entry
-                    .deps
+                let first_dep = (idx % self.ring) * self.dep_stride;
+                let deps_ready = self.deps[first_dep..first_dep + entry.ndeps]
                     .iter()
                     .all(|&d| self.done[d] != NOT_DONE && self.done[d] <= now);
+                if !deps_ready {
+                    i += 1;
+                    continue;
+                }
                 // Stream chunk dependencies (input FIFO readiness).
+                let op = &trace.ops[idx];
                 let streams_ready = op.stream_reads.iter().all(|&(inst, chunk)| {
                     matches!(self.engine.chunk_status(inst, chunk),
                              ChunkStatus::Ready(r) if r <= now)
                 });
-                if !(deps_ready && streams_ready) {
+                if !streams_ready {
                     i += 1;
                     continue;
                 }
@@ -547,27 +669,21 @@ impl CorePipeline {
                 if self.track {
                     self.issue_at[idx] = now;
                 }
-                if self.dbg {
-                    self.dbg_issue[idx] = now;
-                }
                 match cl {
                     CL_INT => int_issued += 1,
                     CL_FPVEC => fpvec_issued += 1,
-                    _ => {
-                        if op.exec == ExecClass::Store {
-                            stores_issued += 1;
-                        } else {
-                            loads_issued += 1;
-                        }
-                    }
+                    _ if entry.is_store => stores_issued += 1,
+                    _ => loads_issued += 1,
                 }
                 issued_total += 1;
                 self.iq[cl].swap_remove(i);
                 // Keep age order reasonably intact after swap_remove by
                 // not advancing i (the swapped-in entry gets a chance).
             }
-            // Restore age order for the next cycle.
-            self.iq[cl].sort_unstable_by_key(|e| e.idx);
+            if issued_total > issued_before {
+                // Restore age order for the next cycle.
+                self.iq[cl].sort_unstable_by_key(|e| e.idx);
+            }
         }
 
         // ---- rename / dispatch (in order, fetch_width per cycle) ----
@@ -608,7 +724,7 @@ impl CorePipeline {
             if let Some(reason) = block {
                 if renamed == 0 {
                     self.stats.rename_blocked_cycles += 1;
-                    self.stats.rename_block_reasons.bump(reason);
+                    self.stats.rename_block_reasons.bump(reason, 1);
                     cycle_block = Some(reason);
                     if reason == RenameBlockReason::StoreFifo {
                         cycle_block_u = op
@@ -637,22 +753,26 @@ impl CorePipeline {
                 self.engine.open(inst, &trace.streams[inst as usize], now);
             }
             // Dependencies on in-flight producers only.
-            let deps: Vec<usize> = op
-                .srcs
-                .iter()
-                .filter_map(|s| self.last_writer.get(s).copied())
-                .filter(|&d| self.done[d] == NOT_DONE || self.done[d] > now)
-                .collect();
+            let first_dep = (idx % self.ring) * self.dep_stride;
+            let mut ndeps = 0;
+            for s in &op.srcs {
+                let d = self.last_writer[reg_slot(*s)];
+                if d != NO_WRITER && (self.done[d] == NOT_DONE || self.done[d] > now) {
+                    self.deps[first_dep + ndeps] = d;
+                    ndeps += 1;
+                }
+            }
             for d in &op.dests {
-                self.last_writer.insert(*d, idx);
+                self.last_writer[reg_slot(*d)] = idx;
             }
             if self.track {
                 self.rename_at[idx] = now;
             }
-            if self.dbg {
-                self.dbg_rename[idx] = now;
-            }
-            self.iq[cluster_of(op.exec)].push(IqEntry { idx, deps });
+            self.iq[cluster_of(op.exec)].push(IqEntry {
+                idx,
+                ndeps,
+                is_store: op.exec == ExecClass::Store,
+            });
             renamed += 1;
         }
 
@@ -662,8 +782,8 @@ impl CorePipeline {
                 self.fetch_stalled_on = None;
             }
         }
+        let mut fetched = 0;
         if self.fetch_stalled_on.is_none() && !self.fetch_frozen {
-            let mut fetched = 0;
             while fetched < self.cfg.fetch_width
                 && self.decode_q.len() < self.cfg.decode_queue
                 && self.fetch_ptr < self.n
@@ -690,7 +810,7 @@ impl CorePipeline {
         }
 
         // ---- streaming engine ----
-        self.engine.tick(now, &trace.streams, mem);
+        let engine_active = self.engine.tick(now, &trace.streams, mem);
 
         // ---- FIFO occupancy timeline (change-compressed) ----
         if let Some(log) = events {
@@ -711,89 +831,84 @@ impl CorePipeline {
         }
 
         // ---- top-down cycle attribution ----
-        // Exactly one category per cycle; see `CycleAccount` for the
-        // cascade. `committed == 0` implies `commit_ptr` did not move,
-        // so when the ROB is non-empty `trace.ops[commit_ptr]` is its
-        // oldest (head) entry.
-        let acct = &mut self.stats.account;
-        if committed > 0 {
-            acct.retiring += 1;
+        let stall = if committed > 0 {
+            Stall::Retiring
         } else {
-            let head = self.commit_ptr;
-            let head_op = &trace.ops[head];
-            let head_issued = self.rob_used > 0 && self.done[head] != NOT_DONE;
-            let head_waiting_mem = head_issued
-                && self.done[head] > now
-                && head_op.exec == ExecClass::Load
-                && !head_op.mem_lines.is_empty();
-            let head_stream_stall = if self.rob_used > 0 && self.done[head] == NOT_DONE {
-                head_op
-                    .stream_reads
-                    .iter()
-                    .find(|&&(inst, chunk)| {
-                        !matches!(self.engine.chunk_status(inst, chunk),
-                                  ChunkStatus::Ready(r) if r <= now)
-                    })
-                    .map(|&(inst, _)| (inst, trace.streams[inst as usize].u))
-            } else {
-                None
-            };
-            if head_waiting_mem {
-                let (issue, mshr_wait, from_dram, from_snoop) = self.load_info[head % self.ring];
-                if now < issue + mshr_wait {
-                    acct.mshr_wait += 1;
-                } else if from_snoop {
-                    // Served cache-to-cache by a remote core over the snoop
-                    // bus: a coherence stall, not a plain cache hit.
-                    acct.snoop_wait += 1;
-                } else if from_dram {
-                    acct.dram_wait += 1;
-                } else {
-                    acct.cache_wait += 1;
-                }
-            } else if let Some((inst, u)) = head_stream_stall {
-                if self.engine.in_fault_replay(inst, now) {
-                    // The chunk is late because its stream is retrying
-                    // an injected fault, not because the engine fell
-                    // behind the consumer.
-                    acct.fault_replay += 1;
-                } else {
-                    acct.fifo_empty += 1;
-                    acct.fifo_empty_by_u[usize::from(u) & 31] += 1;
-                }
-            } else if let Some(reason) = cycle_block {
-                match reason {
-                    RenameBlockReason::Rob => acct.rob_full += 1,
-                    RenameBlockReason::Iq => acct.iq_full += 1,
-                    RenameBlockReason::Lsq => acct.lsq_full += 1,
-                    RenameBlockReason::Prf => acct.prf_starved += 1,
-                    RenameBlockReason::StoreFifo => {
-                        acct.fifo_full += 1;
-                        acct.fifo_full_by_u[usize::from(cycle_block_u) & 31] += 1;
-                    }
-                }
-            } else if self.rob_used > 0 {
-                if head_issued {
-                    if head_op.stream_faults > 0 {
-                        // The head's latency includes the precise
-                        // stream-fault trap round trips it took in the
-                        // functional run; attribute the wait to fault
-                        // handling rather than plain execution.
-                        acct.fault_replay += 1;
-                    } else {
-                        acct.execute += 1;
-                    }
-                } else {
-                    acct.depend += 1;
-                }
-            } else if self.fetch_stalled_on.is_some() {
-                acct.branch_redirect += 1;
-            } else {
-                acct.frontend += 1;
-            }
-        }
+            self.stall(trace, now, cycle_block, cycle_block_u)
+        };
+        self.stats.account.charge(stall, 1);
 
         self.now += 1;
+        let quiet =
+            committed == 0 && issued_total == 0 && renamed == 0 && fetched == 0 && !engine_active;
+        quiet.then_some(Quiet {
+            stall,
+            rename_block: cycle_block,
+        })
+    }
+
+    /// The stall category of a cycle that committed nothing: exactly one
+    /// per cycle, see `CycleAccount` for the cascade. `commit_ptr` did not
+    /// move, so when the ROB is non-empty `trace.ops[commit_ptr]` is its
+    /// oldest (head) entry.
+    fn stall(
+        &self,
+        trace: &Trace,
+        now: u64,
+        cycle_block: Option<RenameBlockReason>,
+        cycle_block_u: u8,
+    ) -> Stall {
+        let head = self.commit_ptr;
+        let head_op = &trace.ops[head];
+        let head_issued = self.rob_used > 0 && self.done[head] != NOT_DONE;
+        let head_waiting_mem = head_issued
+            && self.done[head] > now
+            && head_op.exec == ExecClass::Load
+            && !head_op.mem_lines.is_empty();
+        if head_waiting_mem {
+            let (issue, mshr_wait, from_dram, from_snoop) = self.load_info[head % self.ring];
+            return if now < issue + mshr_wait {
+                Stall::MshrWait
+            } else if from_snoop {
+                // Served cache-to-cache by a remote core over the snoop
+                // bus: a coherence stall, not a plain cache hit.
+                Stall::SnoopWait
+            } else if from_dram {
+                Stall::DramWait
+            } else {
+                Stall::CacheWait
+            };
+        }
+        if self.rob_used > 0 && self.done[head] == NOT_DONE {
+            let stream_stall = head_op.stream_reads.iter().find(|&&(inst, chunk)| {
+                !matches!(self.engine.chunk_status(inst, chunk),
+                          ChunkStatus::Ready(r) if r <= now)
+            });
+            if let Some(&(inst, _)) = stream_stall {
+                // A chunk late because its stream is retrying an injected
+                // fault is not the engine falling behind the consumer.
+                return if self.engine.in_fault_replay(inst, now) {
+                    Stall::FaultReplay
+                } else {
+                    Stall::FifoEmpty(trace.streams[inst as usize].u)
+                };
+            }
+        }
+        match cycle_block {
+            Some(RenameBlockReason::Rob) => Stall::RobFull,
+            Some(RenameBlockReason::Iq) => Stall::IqFull,
+            Some(RenameBlockReason::Lsq) => Stall::LsqFull,
+            Some(RenameBlockReason::Prf) => Stall::PrfStarved,
+            Some(RenameBlockReason::StoreFifo) => Stall::FifoFull(cycle_block_u),
+            // The head's latency includes the precise stream-fault trap
+            // round trips it took in the functional run; attribute the
+            // wait to fault handling rather than plain execution.
+            None if head_issued && head_op.stream_faults > 0 => Stall::FaultReplay,
+            None if head_issued => Stall::Execute,
+            None if self.rob_used > 0 => Stall::Depend,
+            None if self.fetch_stalled_on.is_some() => Stall::BranchRedirect,
+            None => Stall::Frontend,
+        }
     }
 }
 
@@ -980,6 +1095,9 @@ skip:
             .downcast_ref::<String>()
             .expect("watchdog panics with a String report");
         assert!(msg.contains("no-retire watchdog"), "{msg}");
+        // The first cycle more than `watchdog_cycles` past the last commit
+        // (here: the start): a quiet-cycle skip must stop there too.
+        assert!(msg.contains("at cycle 501"), "{msg}");
         assert!(msg.contains("commit_ptr 0/1"), "{msg}");
         assert!(
             msg.contains("fifo-empty"),

@@ -36,15 +36,38 @@ pub struct RenameBlockReasons {
 }
 
 impl RenameBlockReasons {
-    pub(crate) fn bump(&mut self, r: RenameBlockReason) {
+    /// Charges `cycles` blocked cycles to reason `r`.
+    pub(crate) fn bump(&mut self, r: RenameBlockReason, cycles: u64) {
         match r {
-            RenameBlockReason::Rob => self.rob += 1,
-            RenameBlockReason::Iq => self.iq += 1,
-            RenameBlockReason::Lsq => self.lsq += 1,
-            RenameBlockReason::Prf => self.prf += 1,
-            RenameBlockReason::StoreFifo => self.store_fifo += 1,
+            RenameBlockReason::Rob => self.rob += cycles,
+            RenameBlockReason::Iq => self.iq += cycles,
+            RenameBlockReason::Lsq => self.lsq += cycles,
+            RenameBlockReason::Prf => self.prf += cycles,
+            RenameBlockReason::StoreFifo => self.store_fifo += cycles,
         }
     }
+}
+
+/// The one [`CycleAccount`] category a cycle is attributed to; the stream
+/// register rides along for the per-register breakdowns.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Stall {
+    Retiring,
+    MshrWait,
+    SnoopWait,
+    DramWait,
+    CacheWait,
+    FifoEmpty(u8),
+    FaultReplay,
+    RobFull,
+    IqFull,
+    LsqFull,
+    PrfStarved,
+    FifoFull(u8),
+    Execute,
+    Depend,
+    BranchRedirect,
+    Frontend,
 }
 
 /// Top-down cycle accounting: every core cycle is attributed to exactly
@@ -150,6 +173,35 @@ impl CycleAccount {
             self.branch_redirect,
             self.frontend,
         ]
+    }
+
+    /// Charges `cycles` cycles to `stall`.
+    pub(crate) fn charge(&mut self, stall: Stall, cycles: u64) {
+        let field = match stall {
+            Stall::Retiring => &mut self.retiring,
+            Stall::MshrWait => &mut self.mshr_wait,
+            Stall::SnoopWait => &mut self.snoop_wait,
+            Stall::DramWait => &mut self.dram_wait,
+            Stall::CacheWait => &mut self.cache_wait,
+            Stall::FifoEmpty(u) => {
+                self.fifo_empty_by_u[usize::from(u) & 31] += cycles;
+                &mut self.fifo_empty
+            }
+            Stall::FaultReplay => &mut self.fault_replay,
+            Stall::RobFull => &mut self.rob_full,
+            Stall::IqFull => &mut self.iq_full,
+            Stall::LsqFull => &mut self.lsq_full,
+            Stall::PrfStarved => &mut self.prf_starved,
+            Stall::FifoFull(u) => {
+                self.fifo_full_by_u[usize::from(u) & 31] += cycles;
+                &mut self.fifo_full
+            }
+            Stall::Execute => &mut self.execute,
+            Stall::Depend => &mut self.depend,
+            Stall::BranchRedirect => &mut self.branch_redirect,
+            Stall::Frontend => &mut self.frontend,
+        };
+        *field += cycles;
     }
 
     /// Sum over all categories — equals the run's cycle count.
@@ -297,9 +349,9 @@ mod tests {
     #[test]
     fn reason_bumps() {
         let mut r = RenameBlockReasons::default();
-        r.bump(RenameBlockReason::Prf);
-        r.bump(RenameBlockReason::Prf);
-        r.bump(RenameBlockReason::StoreFifo);
+        r.bump(RenameBlockReason::Prf, 1);
+        r.bump(RenameBlockReason::Prf, 1);
+        r.bump(RenameBlockReason::StoreFifo, 1);
         assert_eq!(r.prf, 2);
         assert_eq!(r.store_fifo, 1);
         assert_eq!(r.rob, 0);

@@ -311,27 +311,17 @@ impl MemSystem {
     /// them creates in-flight interception chains that only slow the stream
     /// down.
     fn l2_read(&mut self, line: u64, now: u64, allocate: bool, train: bool) -> ReadOutcome {
-        static DBG: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-        let dbg = *DBG.get_or_init(|| std::env::var("UVE_MEM_TRACE").is_ok());
         let start = self.l2_port(now);
         let out = match self.l2.access(line, false, start) {
-            Access::Hit { ready } => {
-                if dbg {
-                    eprintln!("l2_read now={now} start={start} HIT line_ready={ready}");
-                }
-                ReadOutcome {
-                    ready: ready.max(start) + self.cfg.l2_latency,
-                    mshr_wait: 0,
-                    from_dram: false,
-                    from_snoop: false,
-                }
-            }
+            Access::Hit { ready } => ReadOutcome {
+                ready: ready.max(start) + self.cfg.l2_latency,
+                mshr_wait: 0,
+                from_dram: false,
+                from_snoop: false,
+            },
             Access::Miss => {
                 let (slot, miss_start) = self.l2_mshrs.acquire(start);
                 let ready = self.dram.read(line, miss_start + self.cfg.l2_latency);
-                if dbg {
-                    eprintln!("l2_read now={now} start={start} MISS mshr_start={miss_start} ready={ready}");
-                }
                 self.l2_mshrs.release_at(slot, ready);
                 if allocate {
                     if let Some(victim) = self.l2.fill(line, false, ready) {

@@ -52,7 +52,7 @@ pub use fault::{FaultConfig, FaultInjector, FaultLevel, FaultStats};
 pub use hierarchy::{MemConfig, MemStats, MemSystem, Path, ReadOutcome};
 pub use memory::{Memory, PAGE_SIZE};
 pub use port::MemPort;
-pub use prefetch::{AmpmPrefetcher, PrefetchRequest, StridePrefetcher};
+pub use prefetch::{AmpmPrefetcher, PrefetchRequest, Prefetches, StridePrefetcher, MAX_PREFETCHES};
 pub use profile::{LatencyHist, ReadProfile, ReqClass, ServedBy, LATENCY_BUCKETS};
 pub use smp::{CoherenceViolation, SmpMem, SmpPort, SnoopBus, SnoopStats};
 pub use tlb::{Tlb, Translation};

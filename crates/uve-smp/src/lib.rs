@@ -132,6 +132,23 @@ mod tests {
     }
 
     #[test]
+    fn multiprogrammed_small_mix_is_reproducible() {
+        // The `smp --small` mix time-sliced over two cores: its load PCs
+        // overflow the stride prefetchers' tables, so the run repeats
+        // exactly only if their replacement does.
+        let traces: Vec<Trace> = uve_kernels::small_suite()
+            .iter()
+            .enumerate()
+            .map(|(slot, b)| relocate_trace(&kernel_trace(b.as_ref(), Flavor::Scalar), slot))
+            .collect();
+        let refs: Vec<&Trace> = traces.iter().collect();
+        let cpu = CpuConfig::default();
+        let cfg = MpConfig::default();
+        let run = || run_multiprogrammed(&cpu, &refs, &cfg).expect("coherent");
+        assert_eq!(run(), run());
+    }
+
+    #[test]
     fn round_robin_schedule_is_architecturally_invisible() {
         let benches: [(&dyn Benchmark, Flavor); 3] = [
             (&Saxpy::new(300), Flavor::Uve),

@@ -1,7 +1,8 @@
 //! Lockstep multicore timing simulation and preemptive multiprogramming.
 //!
-//! Both modes step [`CorePipeline`]s cycle by cycle against one shared
-//! [`SmpMem`] hierarchy; coherence between the per-core L1s is maintained
+//! Both modes step [`CorePipeline`]s against one shared [`SmpMem`]
+//! hierarchy (lockstep skipping each core's quiet cycles, the scheduler
+//! one cycle at a time); coherence between the per-core L1s is maintained
 //! live by the MOESI snoop bus inside `SmpMem`, and can additionally be
 //! audited with a full single-writer cross-product scan every `check_every`
 //! global cycles.
@@ -96,9 +97,17 @@ pub struct SmpRun {
 
 /// Runs one trace per core in lockstep over a shared hierarchy.
 ///
-/// Core `c` executes `traces[c]`; all cores advance one cycle per global
-/// step (finished cores idle). With a single trace this is cycle-identical
-/// to `OoOCore::run_with` over a single-core `MemSystem`.
+/// Core `c` executes `traces[c]`; all cores share one global clock
+/// (finished cores idle). With a single trace this is cycle-identical to
+/// `OoOCore::run_with` over a single-core `MemSystem`.
+///
+/// A core is stepped only at the global cycle equal to its own `now()`:
+/// after a quiet cycle [`CorePipeline::step`] jumps the core ahead to its
+/// next event, and the cycles in between are ones in which it would make
+/// no [`MemPort`] call and no other core can change what it does next. So
+/// the shared hierarchy sees the same requests in the same order as when
+/// every core advances one cycle per global step, and the global clock
+/// itself jumps when every live core is ahead of it.
 ///
 /// # Errors
 ///
@@ -126,12 +135,20 @@ pub fn run_lockstep(
     let mut global: u64 = 0;
     loop {
         let mut live = false;
+        // The next global cycle at which a live core acts.
+        let mut next = u64::MAX;
         for (core, slot) in pipes.iter_mut().enumerate() {
             if let Some(pipe) = slot {
-                if !pipe.finished() {
+                if pipe.finished() {
+                    continue;
+                }
+                live = true;
+                if pipe.now() == global {
                     let mut port = mem.port(core);
                     pipe.step(&traces[core], &mut port, None);
-                    live = true;
+                }
+                if !pipe.finished() {
+                    next = next.min(pipe.now());
                 }
             }
         }
@@ -142,7 +159,17 @@ pub fn run_lockstep(
         if !live {
             break;
         }
-        global += 1;
+        let next = if next == u64::MAX { global + 1 } else { next };
+        // The hierarchy does not change while every core is ahead of the
+        // clock, so the scans due at the skipped cycles would find what the
+        // scan above found: count them without repeating it.
+        if let (Some(last), Some(done)) = (
+            (next - 1).checked_div(check_every),
+            global.checked_div(check_every),
+        ) {
+            scans += last - done;
+        }
+        global = next;
     }
     mem.check_coherence()?;
     scans += 1;
@@ -206,7 +233,7 @@ impl Default for MpConfig {
 }
 
 /// Per-program outcome of a multiprogrammed run.
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 pub struct MpOutcome {
     /// The program's own timing statistics (program-local cycles; cycle
     /// accounting conservation holds, restore penalties included under
@@ -219,7 +246,7 @@ pub struct MpOutcome {
 }
 
 /// Result of a multiprogrammed timing run.
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 pub struct MpRun {
     /// Per-program outcomes, in input order.
     pub programs: Vec<MpOutcome>,
@@ -342,7 +369,9 @@ pub fn run_multiprogrammed(
                 inner: mem.port(core),
                 offset: p.offset,
             };
-            pipe.step(p.trace, &mut port, None);
+            // Quanta and restore ticks count cycles, so every cycle is
+            // stepped one at a time here.
+            pipe.step_cycle(p.trace, &mut port, None);
             if pipe.finished() {
                 p.done = true;
                 *slot = None;
