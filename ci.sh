@@ -203,4 +203,16 @@ echo "== observability: --explain smoke + golden trace (offline) =="
 diff -u crates/uve-bench/tests/golden/saxpy_tiny_trace.json \
     target/tiny_saxpy_trace.json
 
+echo "== host benchmark: perfbench pins on the functional, timing-sweep and smp workloads =="
+# perfbench (its own package, built as checked in) checks every job's
+# oracle and conservation laws and compares each workload's deterministic
+# section (digest, committed, trace.ops, trace.stream_lines) with
+# perfbench/pins.txt; any failed check or pin mismatch exits nonzero. One
+# pass of each catches drift in recorded trace content or replay results
+# without the multi-GB `figures` workload.
+for workload in functional timing-sweep smp; do
+    cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 1 --trace 0 > /dev/null
+done
+
 echo "CI OK"

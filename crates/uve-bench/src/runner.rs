@@ -275,6 +275,21 @@ impl TraceCache {
         exec: ExecMode,
         fault_seed: u64,
     ) -> Arc<CachedTrace> {
+        self.get_timed(bench, flavor, stream_level, packing, exec, fault_seed)
+            .0
+    }
+
+    /// [`get`](Self::get), plus the host time this call spent emulating:
+    /// zero unless it recorded the trace itself.
+    fn get_timed(
+        &self,
+        bench: &dyn Benchmark,
+        flavor: Flavor,
+        stream_level: MemLevel,
+        packing: IndirectPacking,
+        exec: ExecMode,
+        fault_seed: u64,
+    ) -> (Arc<CachedTrace>, Duration) {
         let cell = {
             let mut map = self.map.lock().expect("trace cache poisoned");
             Arc::clone(
@@ -289,19 +304,27 @@ impl TraceCache {
                 .or_default(),
             )
         };
+        let mut emulate = Duration::ZERO;
         let trace = cell.get_or_init(|| {
             self.emulations.fetch_add(1, Ordering::Relaxed);
-            Arc::new(emulate_trace_full(
-                bench,
-                flavor,
-                stream_level,
-                packing,
-                exec,
-                fault_seed,
-            ))
+            let t = Instant::now();
+            let trace = emulate_trace_full(bench, flavor, stream_level, packing, exec, fault_seed);
+            emulate = t.elapsed();
+            Arc::new(trace)
         });
-        Arc::clone(trace)
+        (Arc::clone(trace), emulate)
     }
+}
+
+/// Where one job's host time went, for the verbose per-job line.
+#[derive(Debug, Clone, Copy, Default)]
+struct JobSplit {
+    /// Recording the trace (zero when the trace cache already held it).
+    emulate: Duration,
+    /// The warm timing replay.
+    replay: Duration,
+    /// Heap bytes of the job's trace.
+    trace_bytes: u64,
 }
 
 /// One job that panicked or hit its wall-clock timeout during a sweep.
@@ -593,15 +616,19 @@ impl Runner {
             while let Some(i) = pop(&queue) {
                 let job = &jobs[i];
                 let jt = Instant::now();
-                let m = self.run_one(i, job);
+                let (m, split) = self.run_one(i, job);
                 let elapsed = jt.elapsed();
                 job_nanos.fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
                 if self.verbose {
                     eprintln!(
-                        "[job {i:>3}] {:<16} {:<6} {:>9.1} ms",
+                        "[job {i:>3}] {:<16} {:<6} {:>9.1} ms (emulate {:>8.1} ms, \
+                         replay {:>8.1} ms, trace {:>7.1} MB)",
                         job.bench.name(),
                         job.flavor.to_string(),
                         elapsed.as_secs_f64() * 1e3,
+                        split.emulate.as_secs_f64() * 1e3,
+                        split.replay.as_secs_f64() * 1e3,
+                        split.trace_bytes as f64 / f64::from(1 << 20),
                     );
                 }
                 *results[i].lock().expect("result slot poisoned") = Some(m);
@@ -634,16 +661,18 @@ impl Runner {
             .collect()
     }
 
-    /// Evaluates one job under panic isolation and a cooperative deadline.
+    /// Evaluates one job under panic isolation and a cooperative deadline,
+    /// returning its measurement and where its host time went.
     ///
     /// A panicking or timed-out job yields a placeholder measurement
     /// (`"<kernel> [FAILED]"` with zeroed stats, which trivially satisfies
     /// the conservation laws) and is recorded in [`Runner::failures`] —
     /// the rest of the sweep keeps running and the figure still renders.
-    fn run_one(&self, index: usize, job: &Job<'_>) -> Measured {
+    fn run_one(&self, index: usize, job: &Job<'_>) -> (Measured, JobSplit) {
         uve_core::deadline::arm(self.timeout);
+        let mut split = JobSplit::default();
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let cached = self.cache.get(
+            let (cached, emulate) = self.cache.get_timed(
                 job.bench,
                 job.flavor,
                 job.stream_level,
@@ -651,10 +680,15 @@ impl Runner {
                 job.exec,
                 job.fault_seed,
             );
-            replay(job.bench.name(), job.flavor, &cached, &job.cpu)
+            split.emulate = emulate;
+            split.trace_bytes = cached.trace.heap_bytes();
+            let t = Instant::now();
+            let m = replay(job.bench.name(), job.flavor, &cached, &job.cpu);
+            split.replay = t.elapsed();
+            m
         }));
         uve_core::deadline::disarm();
-        match outcome {
+        let m = match outcome {
             Ok(m) => m,
             Err(payload) => {
                 let failure = JobFailure {
@@ -677,7 +711,8 @@ impl Runner {
                     stats: uve_cpu::TimingStats::default(),
                 }
             }
-        }
+        };
+        (m, split)
     }
 
     /// The failures collected so far, in the order they were detected.
@@ -753,6 +788,21 @@ mod tests {
         assert_eq!(runner.emulations(), 1, "one kernel point → one emulation");
         // Identical CPU configs must give identical cycle counts.
         assert_eq!(out[0].stats.cycles, out[3].stats.cycles);
+    }
+
+    #[test]
+    fn job_split_charges_emulation_only_on_a_miss() {
+        let runner = Runner::serial().verbose(false);
+        let bench = Saxpy::new(256);
+        let job = Job::new(&bench, Flavor::Uve, CpuConfig::default());
+        let (first, miss) = runner.run_one(0, &job);
+        let (second, hit) = runner.run_one(1, &job);
+        assert_eq!(first.stats, second.stats);
+        assert!(miss.emulate > Duration::ZERO && miss.replay > Duration::ZERO);
+        assert_eq!(hit.emulate, Duration::ZERO, "a cache hit records nothing");
+        let t = runner.trace(&bench, Flavor::Uve, MemLevel::L2);
+        assert_eq!(miss.trace_bytes, t.trace.heap_bytes());
+        assert_eq!(hit.trace_bytes, miss.trace_bytes);
     }
 
     #[test]

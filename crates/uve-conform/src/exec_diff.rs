@@ -167,6 +167,9 @@ fn diff(
                 if ta.streams != tb.streams {
                     return Err(format!("{what}: stream side tables differ"));
                 }
+                if ta.lines != tb.lines || ta.stream_refs != tb.stream_refs {
+                    return Err(format!("{what}: trace pools differ"));
+                }
             }
             if a.arch_digest != b.arch_digest {
                 return Err(format!(

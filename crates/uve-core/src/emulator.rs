@@ -2,7 +2,7 @@
 //! producing results in memory and a dynamic [`Trace`] for the timing model.
 
 use crate::stream_unit::{StreamError, StreamUnit};
-use crate::trace::{BranchOutcome, Trace, TraceOp};
+use crate::trace::{BranchOutcome, StreamRef, Trace, TraceOp};
 use crate::translate::{ExecMode, TranslationCache};
 use crate::value::{PredVal, Scalar, VecVal};
 use std::borrow::Cow;
@@ -10,8 +10,8 @@ use std::collections::HashSet;
 use std::fmt;
 use uve_isa::{
     AluOp, BrCond, Dir, DupSrc, ElemWidth, ExecClass, FlatOp, FpOp, FpUnOp, HorizOp, Inst,
-    PredCond, PredOp, Program, RegClass, StreamCond, StreamCtl, VCmpOp, VOp, VReg, VType, VUnOp,
-    XReg,
+    PredCond, PredOp, Program, RegClass, RegRef, StreamCond, StreamCtl, VCmpOp, VOp, VReg, VType,
+    VUnOp, XReg,
 };
 use uve_mem::{Memory, LINE_BYTES};
 
@@ -215,7 +215,8 @@ impl RunCursor {
     }
 
     /// Consumes the cursor into a [`RunResult`] (normally after halt).
-    pub fn into_result(self) -> RunResult {
+    pub fn into_result(mut self) -> RunResult {
+        self.trace.shrink_to_fit();
         RunResult {
             committed: self.steps,
             trace: self.trace,
@@ -253,6 +254,81 @@ pub struct Emulator {
     faults_taken: u64,
     /// Translated basic blocks (used only under [`ExecMode::Translated`]).
     cache: TranslationCache,
+    /// The pooled parts of the op being executed.
+    pending: PendingOp,
+}
+
+/// The variable-length parts of the op being executed: its explicit-access
+/// lines and its stream chunk references. They are gathered here, in
+/// buffers reused from op to op, and copied into the trace's pools when the
+/// op commits, so recording allocates nothing per op and a faulting op
+/// leaves the pools untouched. Untraced runs gather nothing.
+#[derive(Debug)]
+struct PendingOp {
+    on: bool,
+    lines: Vec<u64>,
+    reads: Vec<StreamRef>,
+    writes: Vec<StreamRef>,
+}
+
+impl PendingOp {
+    fn new(on: bool) -> Self {
+        Self {
+            on,
+            lines: Vec::new(),
+            reads: Vec::new(),
+            writes: Vec::new(),
+        }
+    }
+
+    fn clear(&mut self) {
+        self.lines.clear();
+        self.reads.clear();
+        self.writes.clear();
+    }
+
+    /// Adds the lines of a `bytes`-byte access at `addr`, skipping a
+    /// repeat of the last line.
+    fn line(&mut self, addr: u64, bytes: u64) {
+        if !self.on {
+            return;
+        }
+        let first = addr / LINE_BYTES;
+        let last = (addr + bytes - 1) / LINE_BYTES;
+        for l in first..=last {
+            if self.lines.last() != Some(&l) {
+                self.lines.push(l);
+            }
+        }
+    }
+
+    fn read(&mut self, r: StreamRef) {
+        if self.on {
+            self.reads.push(r);
+        }
+    }
+
+    fn write(&mut self, r: StreamRef) {
+        if self.on {
+            self.writes.push(r);
+        }
+    }
+
+    /// Moves the gathered parts into `trace`'s pools and points `op`'s
+    /// spans at them.
+    fn commit(&self, op: &mut TraceOp, trace: &mut Trace, pc: u32) -> Result<(), EmuError> {
+        let max = usize::from(u8::MAX);
+        if self.lines.len() > max || self.reads.len() > max || self.writes.len() > max {
+            return Err(EmuError::Internal {
+                pc,
+                what: "more than 255 lines or stream chunks in one op",
+            });
+        }
+        op.mem_lines = trace.push_lines(&self.lines);
+        op.stream_reads = trace.push_stream_refs(&self.reads);
+        op.stream_writes = trace.push_stream_refs(&self.writes);
+        Ok(())
+    }
 }
 
 impl Emulator {
@@ -275,6 +351,7 @@ impl Emulator {
             fault_plan: None,
             faults_taken: 0,
             cache: TranslationCache::new(),
+            pending: PendingOp::new(cfg.record_trace),
         }
     }
 
@@ -414,12 +491,12 @@ impl Emulator {
                     what: "stream vanished during consume",
                 })?
                 .instance;
-            op.stream_reads.push((inst, c.chunk));
+            self.pending.read((inst, c.chunk));
             if self.streams.get(r).is_some_and(|s| s.at_end()) {
                 // Pattern complete: the stream terminates and the register
                 // reverts to a plain vector register (Sec. IV-A, Stream
                 // Termination).
-                op.stream_close = Some(inst);
+                op.stream_close = Some(inst).into();
                 let _ = self.streams.stop(r);
             }
             self.v[r.index()] = c.value.clone();
@@ -467,9 +544,9 @@ impl Emulator {
                     what: "stream vanished during produce",
                 })?
                 .instance;
-            op.stream_writes.push((inst, chunk));
+            self.pending.write((inst, chunk));
             if self.streams.get(r).is_some_and(|s| s.at_end()) {
-                op.stream_close = Some(inst);
+                op.stream_close = Some(inst).into();
                 let _ = self.streams.stop(r);
             }
         } else if self.is_input_stream(r) {
@@ -1386,10 +1463,8 @@ impl Emulator {
         let snap_p = self.p.clone();
         let snap_vl = self.vl_bytes;
         let snap_streams = self.streams.clone();
-        let ops_len = trace.ops.len();
-        let streams_len = trace.streams.len();
-        let chunk_lens: Vec<usize> = trace.streams.iter().map(|s| s.chunks.len()).collect();
-        let mut faults: u32 = 0;
+        let mark = trace.mark();
+        let mut faults: u16 = 0;
         loop {
             match self.step(inst, pc, trace) {
                 Ok(next) => {
@@ -1420,11 +1495,7 @@ impl Emulator {
                     self.p.clone_from(&snap_p);
                     self.vl_bytes = snap_vl;
                     self.streams.clone_from(&snap_streams);
-                    trace.ops.truncate(ops_len);
-                    trace.streams.truncate(streams_len);
-                    for (s, &len) in trace.streams.iter_mut().zip(&chunk_lens) {
-                        s.chunks.truncate(len);
-                    }
+                    trace.rollback(&mark);
                     self.faults_taken += 1;
                 }
                 Err(e) => return Err(e),
@@ -1436,6 +1507,7 @@ impl Emulator {
     #[allow(clippy::too_many_lines)]
     fn step(&mut self, inst: Inst, pc: u32, trace: &mut Trace) -> Result<u32, EmuError> {
         let mut op = TraceOp::new(pc, inst.exec_class());
+        self.pending.clear();
         let mut next = pc + 1;
         let mut consumed: Vec<(VReg, VecVal)> = Vec::new();
         let vlen = self.cfg.vlen_bytes;
@@ -1469,7 +1541,13 @@ impl Emulator {
             } => {
                 let addr = (self.x[base.index()] + off as i64) as u64;
                 self.set_x(rd, self.mem.read_elem(addr, width));
-                record_mem(&mut op, addr, width.bytes() as u64, false);
+                record_mem(
+                    &mut op,
+                    &mut self.pending,
+                    addr,
+                    width.bytes() as u64,
+                    false,
+                );
             }
             Inst::St {
                 src,
@@ -1479,7 +1557,7 @@ impl Emulator {
             } => {
                 let addr = (self.x[base.index()] + off as i64) as u64;
                 self.mem.write_elem(addr, width, self.x[src.index()]);
-                record_mem(&mut op, addr, width.bytes() as u64, true);
+                record_mem(&mut op, &mut self.pending, addr, width.bytes() as u64, true);
             }
             Inst::Fld {
                 fd,
@@ -1493,7 +1571,13 @@ impl Emulator {
                     _ => self.mem.read_f32(addr) as f64,
                 };
                 self.set_f(fd, v);
-                record_mem(&mut op, addr, width.bytes() as u64, false);
+                record_mem(
+                    &mut op,
+                    &mut self.pending,
+                    addr,
+                    width.bytes() as u64,
+                    false,
+                );
             }
             Inst::Fst {
                 src,
@@ -1506,7 +1590,7 @@ impl Emulator {
                     ElemWidth::Double => self.mem.write_f64(addr, self.f[src.index()]),
                     _ => self.mem.write_f32(addr, self.f[src.index()] as f32),
                 }
-                record_mem(&mut op, addr, width.bytes() as u64, true);
+                record_mem(&mut op, &mut self.pending, addr, width.bytes() as u64, true);
             }
             Inst::FAlu {
                 op: o,
@@ -1605,7 +1689,7 @@ impl Emulator {
                         trace,
                     )
                     .map_err(|err| EmuError::Stream { pc, err })?;
-                op.stream_open = inst_id;
+                op.stream_open = inst_id.into();
             }
             Inst::SsApp {
                 u,
@@ -1625,7 +1709,7 @@ impl Emulator {
                         trace,
                     )
                     .map_err(|err| EmuError::Stream { pc, err })?;
-                op.stream_open = inst_id;
+                op.stream_open = inst_id.into();
             }
             Inst::SsAppMod {
                 u,
@@ -1647,7 +1731,7 @@ impl Emulator {
                         trace,
                     )
                     .map_err(|err| EmuError::Stream { pc, err })?;
-                op.stream_open = inst_id;
+                op.stream_open = inst_id.into();
             }
             Inst::SsAppInd {
                 u,
@@ -1660,7 +1744,7 @@ impl Emulator {
                     .streams
                     .append_indirect_mod(u, target, behaviour, origin, end, &self.mem, trace)
                     .map_err(|err| EmuError::Stream { pc, err })?;
-                op.stream_open = inst_id;
+                op.stream_open = inst_id.into();
             }
             Inst::SsCtl { op: ctl, u } => {
                 let r = match ctl {
@@ -1668,7 +1752,7 @@ impl Emulator {
                     StreamCtl::Resume => self.streams.resume(u).map(|()| None),
                     StreamCtl::Stop => self.streams.stop(u).map(Some),
                 };
-                op.stream_close = r.map_err(|err| EmuError::Stream { pc, err })?;
+                op.stream_close = r.map_err(|err| EmuError::Stream { pc, err })?.into();
             }
             Inst::SsCfgMem { u, level } => self.streams.set_level(u, level),
             Inst::SsBranch { cond, u, target } => {
@@ -1901,7 +1985,7 @@ impl Emulator {
                         out.set_int(l, self.mem.read_elem(addr, width));
                         out.set_lane_valid(l, true);
                         first_addr.get_or_insert(addr);
-                        push_line(&mut op.mem_lines, addr, wb);
+                        self.pending.line(addr, wb);
                     }
                 }
                 op.mem_addr = first_addr.unwrap_or(b);
@@ -1927,7 +2011,7 @@ impl Emulator {
                         let addr = b.wrapping_add(((idx + l as i64) as u64).wrapping_mul(wb));
                         self.mem.write_elem(addr, width, val.int(l));
                         first_addr.get_or_insert(addr);
-                        push_line(&mut op.mem_lines, addr, wb);
+                        self.pending.line(addr, wb);
                     }
                 }
                 op.mem_addr = first_addr.unwrap_or(b);
@@ -1952,7 +2036,7 @@ impl Emulator {
                         out.set_int(l, self.mem.read_elem(addr, width));
                         out.set_lane_valid(l, true);
                         first_addr.get_or_insert(addr);
-                        push_line(&mut op.mem_lines, addr, wb);
+                        self.pending.line(addr, wb);
                     }
                 }
                 op.mem_addr = first_addr.unwrap_or(b);
@@ -1979,7 +2063,7 @@ impl Emulator {
                         let addr = b.wrapping_add((iv.int(l) as u64).wrapping_mul(wb));
                         self.mem.write_elem(addr, width, val.int(l));
                         first_addr.get_or_insert(addr);
-                        push_line(&mut op.mem_lines, addr, wb);
+                        self.pending.line(addr, wb);
                     }
                 }
                 op.mem_addr = first_addr.unwrap_or(b);
@@ -2018,7 +2102,7 @@ impl Emulator {
                         let addr = b + l as u64 * wb;
                         out.set_int(l, self.mem.read_elem(addr, width));
                         out.set_lane_valid(l, true);
-                        push_line(&mut op.mem_lines, addr, wb);
+                        self.pending.line(addr, wb);
                     }
                 }
                 op.mem_addr = b;
@@ -2042,7 +2126,7 @@ impl Emulator {
                     if pm.get(l) && val.lane_valid(l) {
                         let addr = b + l as u64 * wb;
                         self.mem.write_elem(addr, width, val.int(l));
-                        push_line(&mut op.mem_lines, addr, wb);
+                        self.pending.line(addr, wb);
                     }
                 }
                 self.set_x(base, (b + vlen as u64) as i64);
@@ -2052,28 +2136,16 @@ impl Emulator {
         if self.cfg.record_trace {
             // Register dependencies, with stream-register operands removed
             // (they travel through the FIFO readiness interface instead).
-            op.srcs = inst
-                .srcs()
-                .into_iter()
-                .filter(|r| {
-                    !(r.class == RegClass::Vec
-                        && op
-                            .stream_reads
-                            .iter()
-                            .any(|(i, _)| trace.streams[*i as usize].u == r.num))
-                })
-                .collect();
-            op.dests = inst
-                .dests()
-                .into_iter()
-                .filter(|r| {
-                    !(r.class == RegClass::Vec
-                        && op
-                            .stream_writes
-                            .iter()
-                            .any(|(i, _)| trace.streams[*i as usize].u == r.num))
-                })
-                .collect();
+            let streams = &trace.streams;
+            let streamed = |refs: &[StreamRef], r: RegRef| {
+                r.class == RegClass::Vec
+                    && refs.iter().any(|&(i, _)| streams[i as usize].u == r.num)
+            };
+            op.srcs = inst.srcs();
+            op.srcs.retain(|r| !streamed(&self.pending.reads, r));
+            op.dests = inst.dests();
+            op.dests.retain(|r| !streamed(&self.pending.writes, r));
+            self.pending.commit(&mut op, trace, pc)?;
             trace.ops.push(op);
         }
         Ok(next)
@@ -2346,20 +2418,10 @@ fn mac_lanes_ref(
     out
 }
 
-fn record_mem(op: &mut TraceOp, addr: u64, bytes: u64, is_store: bool) {
+fn record_mem(op: &mut TraceOp, pending: &mut PendingOp, addr: u64, bytes: u64, is_store: bool) {
     op.mem_addr = addr;
     op.is_store = is_store;
-    push_line(&mut op.mem_lines, addr, bytes);
-}
-
-fn push_line(lines: &mut Vec<u64>, addr: u64, bytes: u64) {
-    let first = addr / LINE_BYTES;
-    let last = (addr + bytes - 1) / LINE_BYTES;
-    for l in first..=last {
-        if lines.last() != Some(&l) {
-            lines.push(l);
-        }
-    }
+    pending.line(addr, bytes);
 }
 
 fn scalar_alu(op: AluOp, a: i64, b: i64) -> i64 {
@@ -2699,7 +2761,7 @@ hmax:
         );
         assert_eq!(emu.x(XReg::A2), 1234);
         let st = r.trace.ops.iter().find(|o| o.is_store).unwrap();
-        assert_eq!(st.mem_lines, vec![0x3004 / 64]);
+        assert_eq!(r.trace.mem_lines(st), &[0x3004 / 64]);
     }
 
     #[test]
@@ -2781,12 +2843,11 @@ loop:
             .map(|o| u64::from(o.stream_faults))
             .sum();
         assert_eq!(stamped, faulty.faults_taken(), "every trap is stamped");
-        let mut scrubbed = faulty_run.trace.ops.clone();
-        for o in &mut scrubbed {
+        let mut scrubbed = faulty_run.trace.clone();
+        for o in &mut scrubbed.ops {
             o.stream_faults = 0;
         }
-        assert_eq!(clean_run.trace.ops, scrubbed);
-        assert_eq!(clean_run.trace.streams, faulty_run.trace.streams);
+        assert_eq!(clean_run.trace, scrubbed);
     }
 
     #[test]
@@ -2877,8 +2938,7 @@ loop:
         assert_eq!(ri.committed, rt.committed);
         assert_eq!(interp.arch_digest(), trans.arch_digest());
         assert_eq!(interp.mem.content_hash(), trans.mem.content_hash());
-        assert_eq!(ri.trace.ops, rt.trace.ops);
-        assert_eq!(ri.trace.streams, rt.trace.streams);
+        assert_eq!(ri.trace, rt.trace);
     }
 
     #[test]
@@ -2931,8 +2991,7 @@ loop:
         assert_eq!(cursor.steps(), ri.committed);
         assert_eq!(interp.arch_digest(), trans.arch_digest());
         assert_eq!(interp.mem.content_hash(), trans.mem.content_hash());
-        assert_eq!(ri.trace.ops, cursor.trace().ops);
-        assert_eq!(ri.trace.streams, cursor.trace().streams);
+        assert_eq!(ri.trace, *cursor.trace());
     }
 
     #[test]
@@ -2954,7 +3013,7 @@ loop:
 
         assert!(interp.faults_taken() > 0);
         assert_eq!(interp.faults_taken(), trans.faults_taken());
-        assert_eq!(ri.trace.ops, rt.trace.ops, "fault stamps must match");
+        assert_eq!(ri.trace, rt.trace, "fault stamps must match");
         assert_eq!(interp.arch_digest(), trans.arch_digest());
         assert_eq!(interp.mem.content_hash(), trans.mem.content_hash());
     }

@@ -64,7 +64,10 @@ mod value;
 pub use emulator::{EmuConfig, EmuError, Emulator, RunCursor, RunResult, StreamFaultPlan};
 pub use fingerprint::{canonical_program_bytes, program_fingerprint};
 pub use stream_unit::{ActiveStream, Consumed, StreamError, StreamUnit};
-pub use trace::{BranchOutcome, ChunkMeta, StreamInstance, StreamTrace, Trace, TraceOp};
+pub use trace::{
+    BranchOutcome, ChunkMeta, InstanceSlot, Span, StreamInstance, StreamRef, StreamTrace, Trace,
+    TraceMark, TraceOp,
+};
 pub use translate::ExecMode;
 pub use value::{PredVal, Scalar, VecVal, MAX_LANES};
 

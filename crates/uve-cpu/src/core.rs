@@ -18,7 +18,7 @@ use crate::predictor::Bimodal;
 use crate::stats::{CycleAccount, RenameBlockReason, Stall, TimingStats};
 use std::collections::VecDeque;
 use uve_core::engine::{ChunkStatus, EngineSim};
-use uve_core::{Trace, TraceOp};
+use uve_core::{StreamRef, Trace, TraceOp};
 use uve_isa::{Dir, ExecClass, RegClass, RegRef};
 use uve_mem::{MemPort, MemSystem, Path, LINE_BYTES};
 
@@ -62,6 +62,7 @@ fn watchdog_report(
     rob_used: usize,
     account: &CycleAccount,
     head_op: &TraceOp,
+    head_reads: &[StreamRef],
     head_done: u64,
     engine: &EngineSim,
 ) -> String {
@@ -79,8 +80,8 @@ fn watchdog_report(
             head_done.to_string()
         },
     );
-    if !head_op.stream_reads.is_empty() {
-        let _ = writeln!(out, "  head stream_reads: {:?}", head_op.stream_reads);
+    if !head_reads.is_empty() {
+        let _ = writeln!(out, "  head stream_reads: {head_reads:?}");
     }
     let _ = writeln!(
         out,
@@ -495,6 +496,7 @@ impl CorePipeline {
                     self.rob_used,
                     &self.stats.account,
                     &trace.ops[self.commit_ptr],
+                    trace.stream_reads(&trace.ops[self.commit_ptr]),
                     self.done[self.commit_ptr],
                     &self.engine,
                 )
@@ -510,11 +512,11 @@ impl CorePipeline {
             }
             let op = &trace.ops[idx];
             if op.is_store {
-                for &line in &op.mem_lines {
+                for &line in trace.mem_lines(op) {
                     mem.write(line * LINE_BYTES, u64::from(op.pc), now, Path::Normal);
                 }
             }
-            for &(inst, chunk) in &op.stream_reads {
+            for &(inst, chunk) in trace.stream_reads(op) {
                 if let Some(log) = events.as_deref_mut() {
                     if let ChunkStatus::Ready(ready) = self.engine.chunk_status(inst, chunk) {
                         log.chunks.push(ChunkSpan {
@@ -528,7 +530,7 @@ impl CorePipeline {
                 }
                 self.engine.commit_read(inst, chunk);
             }
-            for &(inst, chunk) in &op.stream_writes {
+            for &(inst, chunk) in trace.stream_writes(op) {
                 if let Some(log) = events.as_deref_mut() {
                     if let ChunkStatus::Ready(ready) = self.engine.chunk_status(inst, chunk) {
                         log.chunks.push(ChunkSpan {
@@ -543,7 +545,7 @@ impl CorePipeline {
                 self.engine
                     .commit_write(inst, chunk, now, &trace.streams, mem);
             }
-            if let Some(inst) = op.stream_close {
+            if let Some(inst) = op.stream_close.get() {
                 self.engine.close(inst);
             }
             for d in &op.dests {
@@ -621,7 +623,7 @@ impl CorePipeline {
                 }
                 // Stream chunk dependencies (input FIFO readiness).
                 let op = &trace.ops[idx];
-                let streams_ready = op.stream_reads.iter().all(|&(inst, chunk)| {
+                let streams_ready = trace.stream_reads(op).iter().all(|&(inst, chunk)| {
                     matches!(self.engine.chunk_status(inst, chunk),
                              ChunkStatus::Ready(r) if r <= now)
                 });
@@ -639,7 +641,7 @@ impl CorePipeline {
                             let mut mshr_wait = 0;
                             let mut from_dram = false;
                             let mut from_snoop = false;
-                            for &line in &op.mem_lines {
+                            for &line in trace.mem_lines(op) {
                                 let r = mem.read_explained(
                                     line * LINE_BYTES,
                                     u64::from(op.pc),
@@ -715,7 +717,7 @@ impl CorePipeline {
                 .any(|d| self.free_regs[class_idx(d.class)] == 0)
             {
                 block = Some(RenameBlockReason::Prf);
-            } else if op.stream_writes.iter().any(|&(inst, chunk)| {
+            } else if trace.stream_writes(op).iter().any(|&(inst, chunk)| {
                 self.engine.chunk_status(inst, chunk) == ChunkStatus::NotFetched
             }) {
                 // Store FIFO slot not yet reserved by the engine.
@@ -727,8 +729,8 @@ impl CorePipeline {
                     self.stats.rename_block_reasons.bump(reason, 1);
                     cycle_block = Some(reason);
                     if reason == RenameBlockReason::StoreFifo {
-                        cycle_block_u = op
-                            .stream_writes
+                        cycle_block_u = trace
+                            .stream_writes(op)
                             .iter()
                             .find(|&&(inst, chunk)| {
                                 self.engine.chunk_status(inst, chunk) == ChunkStatus::NotFetched
@@ -749,7 +751,7 @@ impl CorePipeline {
                 self.free_regs[class_idx(d.class)] -= 1;
             }
             // Stream configuration completes here (speculative config).
-            if let Some(inst) = op.stream_open {
+            if let Some(inst) = op.stream_open.get() {
                 self.engine.open(inst, &trace.streams[inst as usize], now);
             }
             // Dependencies on in-flight producers only.
@@ -880,7 +882,7 @@ impl CorePipeline {
             };
         }
         if self.rob_used > 0 && self.done[head] == NOT_DONE {
-            let stream_stall = head_op.stream_reads.iter().find(|&&(inst, chunk)| {
+            let stream_stall = trace.stream_reads(head_op).iter().find(|&&(inst, chunk)| {
                 !matches!(self.engine.chunk_status(inst, chunk),
                           ChunkStatus::Ready(r) if r <= now)
             });
@@ -1070,7 +1072,7 @@ skip:
         // `max_cycles`.
         let mut t = Trace::new();
         let mut op = TraceOp::new(0, ExecClass::VecInt);
-        op.stream_reads.push((0, 0));
+        op.stream_reads = t.push_stream_refs(&[(0, 0)]);
         t.ops.push(op);
         t.streams.push(StreamTrace {
             u: 3,

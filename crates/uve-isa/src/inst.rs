@@ -6,7 +6,7 @@
 //! RISC-V-flavoured. Branch targets are absolute instruction indices,
 //! resolved from labels by [`ProgramBuilder`](crate::ProgramBuilder).
 
-use crate::reg::{FReg, PReg, RegRef, VReg, XReg};
+use crate::reg::{FReg, PReg, RegList, RegRef, VReg, XReg};
 use std::fmt;
 use uve_stream::{Behaviour, ElemWidth, IndirectBehaviour, Param};
 
@@ -576,12 +576,21 @@ pub enum Inst {
     },
 }
 
-/// Fixed-size operand list (at most 5 sources / 2 destinations).
-pub type RegList = Vec<RegRef>;
+/// Most source registers one instruction reads.
+pub const MAX_SRCS: usize = 5;
+
+/// Most destination registers one instruction writes.
+pub const MAX_DESTS: usize = 2;
+
+/// An instruction's source registers, inline.
+pub type SrcRegs = RegList<MAX_SRCS>;
+
+/// An instruction's destination registers, inline.
+pub type DestRegs = RegList<MAX_DESTS>;
 
 impl Inst {
     /// Architectural destination registers written by this instruction.
-    pub fn dests(&self) -> RegList {
+    pub fn dests(&self) -> DestRegs {
         use Inst::*;
         match *self {
             Alu { rd, .. } | AluImm { rd, .. } | Lui { rd, .. } | Ld { rd, .. } => nonzero_x(rd),
@@ -590,7 +599,7 @@ impl Inst {
             | FMac { fd, .. }
             | FUn { fd, .. }
             | FMvFX { fd, .. }
-            | FCvtFX { fd, .. } => vec![RegRef::f(fd)],
+            | FCvtFX { fd, .. } => regs(&[RegRef::f(fd)]),
             FMvXF { rd, .. } | FCvtXF { rd, .. } => nonzero_x(rd),
             Jal { rd, .. } => nonzero_x(rd),
             SsGetVl { rd, .. } | SsSetVl { rd, .. } | IncVl { rd, .. } | CntVl { rd, .. } => {
@@ -603,18 +612,16 @@ impl Inst {
             | VArithVS { vd, .. }
             | VRed { vd, .. }
             | VLoad { vd, .. }
-            | VGather { vd, .. } => vec![RegRef::v(vd)],
-            VMac { vd, .. } | VMacVS { vd, .. } => vec![RegRef::v(vd)],
+            | VGather { vd, .. } => regs(&[RegRef::v(vd)]),
+            VMac { vd, .. } | VMacVS { vd, .. } => regs(&[RegRef::v(vd)]),
             VCmp { pd, .. }
             | PredAlu { pd, .. }
             | PredFromValid { pd, .. }
-            | WhileLt { pd, .. } => {
-                vec![RegRef::p(pd)]
-            }
-            VExtractF { fd, .. } => vec![RegRef::f(fd)],
+            | WhileLt { pd, .. } => regs(&[RegRef::p(pd)]),
+            VExtractF { fd, .. } => regs(&[RegRef::f(fd)]),
             VExtractX { rd, .. } => nonzero_x(rd),
-            VLoadPost { vd, base, .. } => vec![RegRef::v(vd), RegRef::x(base)],
-            VStorePost { base, .. } => vec![RegRef::x(base)],
+            VLoadPost { vd, base, .. } => regs(&[RegRef::v(vd), RegRef::x(base)]),
+            VStorePost { base, .. } => regs(&[RegRef::x(base)]),
             St { .. }
             | Fst { .. }
             | Branch { .. }
@@ -629,7 +636,7 @@ impl Inst {
             | SsBranch { .. }
             | BrPred { .. }
             | VStore { .. }
-            | VScatter { .. } => Vec::new(),
+            | VScatter { .. } => RegList::new(),
         }
     }
 
@@ -638,56 +645,56 @@ impl Inst {
     /// For vector instructions this includes stream-associated registers;
     /// whether a `u` register is a stream is machine state, not visible
     /// here.
-    pub fn srcs(&self) -> RegList {
+    pub fn srcs(&self) -> SrcRegs {
         use Inst::*;
         match *self {
-            Alu { rs1, rs2, .. } => vec![RegRef::x(rs1), RegRef::x(rs2)],
-            AluImm { rs1, .. } => vec![RegRef::x(rs1)],
-            Lui { .. } => Vec::new(),
-            Ld { base, .. } => vec![RegRef::x(base)],
-            St { src, base, .. } => vec![RegRef::x(src), RegRef::x(base)],
-            Fld { base, .. } => vec![RegRef::x(base)],
-            Fst { src, base, .. } => vec![RegRef::f(src), RegRef::x(base)],
-            FAlu { fs1, fs2, .. } => vec![RegRef::f(fs1), RegRef::f(fs2)],
-            FMac { fs1, fs2, fs3, .. } => {
-                vec![RegRef::f(fs1), RegRef::f(fs2), RegRef::f(fs3)]
-            }
-            FUn { fs, .. } => vec![RegRef::f(fs)],
-            FMvXF { fs, .. } => vec![RegRef::f(fs)],
-            FMvFX { rs, .. } => vec![RegRef::x(rs)],
-            FCvtFX { rs, .. } => vec![RegRef::x(rs)],
-            FCvtXF { fs, .. } => vec![RegRef::f(fs)],
-            Branch { rs1, rs2, .. } => vec![RegRef::x(rs1), RegRef::x(rs2)],
-            Jal { .. } | Halt | Nop => Vec::new(),
+            Alu { rs1, rs2, .. } => regs(&[RegRef::x(rs1), RegRef::x(rs2)]),
+            AluImm { rs1, .. } => regs(&[RegRef::x(rs1)]),
+            Lui { .. } => RegList::new(),
+            Ld { base, .. } => regs(&[RegRef::x(base)]),
+            St { src, base, .. } => regs(&[RegRef::x(src), RegRef::x(base)]),
+            Fld { base, .. } => regs(&[RegRef::x(base)]),
+            Fst { src, base, .. } => regs(&[RegRef::f(src), RegRef::x(base)]),
+            FAlu { fs1, fs2, .. } => regs(&[RegRef::f(fs1), RegRef::f(fs2)]),
+            FMac { fs1, fs2, fs3, .. } => regs(&[RegRef::f(fs1), RegRef::f(fs2), RegRef::f(fs3)]),
+            FUn { fs, .. } => regs(&[RegRef::f(fs)]),
+            FMvXF { fs, .. } => regs(&[RegRef::f(fs)]),
+            FMvFX { rs, .. } => regs(&[RegRef::x(rs)]),
+            FCvtFX { rs, .. } => regs(&[RegRef::x(rs)]),
+            FCvtXF { fs, .. } => regs(&[RegRef::f(fs)]),
+            Branch { rs1, rs2, .. } => regs(&[RegRef::x(rs1), RegRef::x(rs2)]),
+            Jal { .. } | Halt | Nop => RegList::new(),
             SsStart {
                 base, size, stride, ..
-            } => vec![RegRef::x(base), RegRef::x(size), RegRef::x(stride)],
+            } => regs(&[RegRef::x(base), RegRef::x(size), RegRef::x(stride)]),
             SsApp {
                 offset,
                 size,
                 stride,
                 ..
-            } => vec![RegRef::x(offset), RegRef::x(size), RegRef::x(stride)],
-            SsAppMod { disp, count, .. } => vec![RegRef::x(disp), RegRef::x(count)],
-            SsAppInd { origin, .. } => vec![RegRef::v(origin)],
-            SsCtl { .. } | SsCfgMem { .. } | SsGetVl { .. } => Vec::new(),
-            SsSetVl { rs, .. } => vec![RegRef::x(rs)],
-            PredFromValid { vs, .. } => vec![RegRef::v(vs)],
-            SsBranch { u, .. } => vec![RegRef::v(u)],
-            VDup { src, .. } => dup_src(src),
-            VMv { vs, .. } => vec![RegRef::v(vs)],
-            VUn { vs, pred, .. } => with_pred(vec![RegRef::v(vs)], pred),
-            VArith { vs1, vs2, pred, .. } => with_pred(vec![RegRef::v(vs1), RegRef::v(vs2)], pred),
+            } => regs(&[RegRef::x(offset), RegRef::x(size), RegRef::x(stride)]),
+            SsAppMod { disp, count, .. } => regs(&[RegRef::x(disp), RegRef::x(count)]),
+            SsAppInd { origin, .. } => regs(&[RegRef::v(origin)]),
+            SsCtl { .. } | SsCfgMem { .. } | SsGetVl { .. } => RegList::new(),
+            SsSetVl { rs, .. } => regs(&[RegRef::x(rs)]),
+            PredFromValid { vs, .. } => regs(&[RegRef::v(vs)]),
+            SsBranch { u, .. } => regs(&[RegRef::v(u)]),
+            VDup { src, .. } => dup_src(src).into_iter().collect(),
+            VMv { vs, .. } => regs(&[RegRef::v(vs)]),
+            VUn { vs, pred, .. } => with_pred(regs(&[RegRef::v(vs)]), pred),
+            VArith { vs1, vs2, pred, .. } => {
+                with_pred(regs(&[RegRef::v(vs1), RegRef::v(vs2)]), pred)
+            }
             VArithVS {
                 vs1, scalar, pred, ..
             } => {
-                let mut v = vec![RegRef::v(vs1)];
+                let mut v = regs(&[RegRef::v(vs1)]);
                 v.extend(dup_src(scalar));
                 with_pred(v, pred)
             }
             VMac {
                 vd, vs1, vs2, pred, ..
-            } => with_pred(vec![RegRef::v(vd), RegRef::v(vs1), RegRef::v(vs2)], pred),
+            } => with_pred(regs(&[RegRef::v(vd), RegRef::v(vs1), RegRef::v(vs2)]), pred),
             VMacVS {
                 vd,
                 vs1,
@@ -695,44 +702,50 @@ impl Inst {
                 pred,
                 ..
             } => {
-                let mut v = vec![RegRef::v(vd), RegRef::v(vs1)];
+                let mut v = regs(&[RegRef::v(vd), RegRef::v(vs1)]);
                 v.extend(dup_src(scalar));
                 with_pred(v, pred)
             }
-            VRed { vs, pred, .. } => with_pred(vec![RegRef::v(vs)], pred),
-            VCmp { vs1, vs2, .. } => vec![RegRef::v(vs1), RegRef::v(vs2)],
+            VRed { vs, pred, .. } => with_pred(regs(&[RegRef::v(vs)]), pred),
+            VCmp { vs1, vs2, .. } => regs(&[RegRef::v(vs1), RegRef::v(vs2)]),
             PredAlu { op, ps1, ps2, .. } => match op {
-                PredOp::Mov | PredOp::Not => vec![RegRef::p(ps1)],
-                _ => vec![RegRef::p(ps1), RegRef::p(ps2)],
+                PredOp::Mov | PredOp::Not => regs(&[RegRef::p(ps1)]),
+                _ => regs(&[RegRef::p(ps1), RegRef::p(ps2)]),
             },
-            BrPred { p, .. } => vec![RegRef::p(p)],
-            VExtractF { vs, .. } | VExtractX { vs, .. } => vec![RegRef::v(vs)],
+            BrPred { p, .. } => regs(&[RegRef::p(p)]),
+            VExtractF { vs, .. } | VExtractX { vs, .. } => regs(&[RegRef::v(vs)]),
             VLoad {
                 base, index, pred, ..
-            } => with_pred(vec![RegRef::x(base), RegRef::x(index)], pred),
+            } => with_pred(regs(&[RegRef::x(base), RegRef::x(index)]), pred),
             VStore {
                 vs,
                 base,
                 index,
                 pred,
                 ..
-            } => with_pred(vec![RegRef::v(vs), RegRef::x(base), RegRef::x(index)], pred),
+            } => with_pred(
+                regs(&[RegRef::v(vs), RegRef::x(base), RegRef::x(index)]),
+                pred,
+            ),
             VGather {
                 base, idx, pred, ..
-            } => with_pred(vec![RegRef::x(base), RegRef::v(idx)], pred),
+            } => with_pred(regs(&[RegRef::x(base), RegRef::v(idx)]), pred),
             VScatter {
                 vs,
                 base,
                 idx,
                 pred,
                 ..
-            } => with_pred(vec![RegRef::v(vs), RegRef::x(base), RegRef::v(idx)], pred),
-            WhileLt { rs1, rs2, .. } => vec![RegRef::x(rs1), RegRef::x(rs2)],
-            IncVl { rd, .. } => vec![RegRef::x(rd)],
-            CntVl { .. } => Vec::new(),
-            VLoadPost { base, pred, .. } => with_pred(vec![RegRef::x(base)], pred),
+            } => with_pred(
+                regs(&[RegRef::v(vs), RegRef::x(base), RegRef::v(idx)]),
+                pred,
+            ),
+            WhileLt { rs1, rs2, .. } => regs(&[RegRef::x(rs1), RegRef::x(rs2)]),
+            IncVl { rd, .. } => regs(&[RegRef::x(rd)]),
+            CntVl { .. } => RegList::new(),
+            VLoadPost { base, pred, .. } => with_pred(regs(&[RegRef::x(base)]), pred),
             VStorePost { vs, base, pred, .. } => {
-                with_pred(vec![RegRef::v(vs), RegRef::x(base)], pred)
+                with_pred(regs(&[RegRef::v(vs), RegRef::x(base)]), pred)
             }
         }
     }
@@ -837,28 +850,22 @@ impl Inst {
     }
 }
 
-fn nonzero_x(rd: XReg) -> RegList {
-    if rd == XReg::ZERO {
-        Vec::new()
-    } else {
-        vec![RegRef::x(rd)]
-    }
+fn regs<const N: usize>(rs: &[RegRef]) -> RegList<N> {
+    rs.iter().copied().collect()
 }
 
-fn dup_src(s: DupSrc) -> RegList {
+fn nonzero_x<const N: usize>(rd: XReg) -> RegList<N> {
+    dup_src(DupSrc::X(rd)).into_iter().collect()
+}
+
+fn dup_src(s: DupSrc) -> Option<RegRef> {
     match s {
-        DupSrc::X(r) => {
-            if r == XReg::ZERO {
-                Vec::new()
-            } else {
-                vec![RegRef::x(r)]
-            }
-        }
-        DupSrc::F(r) => vec![RegRef::f(r)],
+        DupSrc::X(r) => (r != XReg::ZERO).then(|| RegRef::x(r)),
+        DupSrc::F(r) => Some(RegRef::f(r)),
     }
 }
 
-fn with_pred(mut v: RegList, pred: PReg) -> RegList {
+fn with_pred(mut v: SrcRegs, pred: PReg) -> SrcRegs {
     if pred != PReg::P0 {
         v.push(RegRef::p(pred));
     }
@@ -898,7 +905,7 @@ mod tests {
         };
         let srcs = i.srcs();
         assert!(srcs.contains(&RegRef::v(VReg::new(2))));
-        assert_eq!(i.dests(), vec![RegRef::v(VReg::new(2))]);
+        assert_eq!(*i.dests(), [RegRef::v(VReg::new(2))]);
     }
 
     #[test]

@@ -55,12 +55,13 @@ pub use asm::{
 pub use encode::{decode, encode, encode_program, DecodeError, EncodeError};
 pub use flat::{lower, FlatOp};
 pub use inst::{
-    AluOp, BrCond, Dir, DupSrc, ExecClass, FpOp, FpUnOp, HorizOp, Inst, MemLevel, PredCond, PredOp,
-    RegList, StreamCond, StreamCtl, VCmpOp, VOp, VType, VUnOp,
+    AluOp, BrCond, DestRegs, Dir, DupSrc, ExecClass, FpOp, FpUnOp, HorizOp, Inst, MemLevel,
+    PredCond, PredOp, SrcRegs, StreamCond, StreamCtl, VCmpOp, VOp, VType, VUnOp, MAX_DESTS,
+    MAX_SRCS,
 };
 pub use program::{Program, ProgramBuilder, ProgramError};
 pub use reg::{
-    FReg, PReg, RegClass, RegRef, VReg, XReg, NUM_FREGS, NUM_PREGS, NUM_VREGS, NUM_XREGS,
+    FReg, PReg, RegClass, RegList, RegRef, VReg, XReg, NUM_FREGS, NUM_PREGS, NUM_VREGS, NUM_XREGS,
 };
 
 // Re-export the stream-configuration vocabulary used in instruction fields.

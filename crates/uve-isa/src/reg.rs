@@ -223,6 +223,126 @@ impl RegRef {
     }
 }
 
+/// An inline list of at most `N` register references: one instruction's
+/// operands ([`SrcRegs`](crate::SrcRegs), [`DestRegs`](crate::DestRegs)).
+/// `Copy` and heap-free, so a recorded trace op carries its operands in
+/// place. Dereferences to the slice of the registers present.
+#[derive(Clone, Copy)]
+pub struct RegList<const N: usize> {
+    len: u8,
+    regs: [RegRef; N],
+}
+
+/// What the unused slots of a [`RegList`] hold (never observable).
+const UNUSED: RegRef = RegRef {
+    class: RegClass::Int,
+    num: 0,
+};
+
+impl<const N: usize> RegList<N> {
+    /// How many registers the list holds at most.
+    pub const CAPACITY: usize = N;
+
+    /// An empty list.
+    pub const fn new() -> Self {
+        Self {
+            len: 0,
+            regs: [UNUSED; N],
+        }
+    }
+
+    /// Appends `r`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the list already holds [`CAPACITY`](Self::CAPACITY)
+    /// registers (the ISA's operand bounds make that a decoder bug).
+    pub fn push(&mut self, r: RegRef) {
+        self.regs[usize::from(self.len)] = r;
+        self.len += 1;
+    }
+
+    /// Keeps only the registers `keep` accepts, in order.
+    pub fn retain(&mut self, mut keep: impl FnMut(RegRef) -> bool) {
+        let mut kept = 0;
+        for i in 0..usize::from(self.len) {
+            let r = self.regs[i];
+            if keep(r) {
+                self.regs[kept] = r;
+                kept += 1;
+            }
+        }
+        self.regs[kept..].fill(UNUSED);
+        self.len = kept as u8;
+    }
+
+    /// Heap slots the list owns: always 0, the registers live inline.
+    /// Size accounting that sums `capacity() × element size` over a
+    /// trace's fields (as for `Vec` fields) thus stays exact.
+    pub const fn capacity(&self) -> usize {
+        0
+    }
+}
+
+impl<const N: usize> Default for RegList<N> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<const N: usize> std::ops::Deref for RegList<N> {
+    type Target = [RegRef];
+
+    fn deref(&self) -> &[RegRef] {
+        &self.regs[..usize::from(self.len)]
+    }
+}
+
+impl<const N: usize> PartialEq for RegList<N> {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl<const N: usize> Eq for RegList<N> {}
+
+impl<const N: usize> std::hash::Hash for RegList<N> {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        (**self).hash(state);
+    }
+}
+
+impl<const N: usize> fmt::Debug for RegList<N> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl<const N: usize> Extend<RegRef> for RegList<N> {
+    fn extend<I: IntoIterator<Item = RegRef>>(&mut self, iter: I) {
+        for r in iter {
+            self.push(r);
+        }
+    }
+}
+
+impl<const N: usize> FromIterator<RegRef> for RegList<N> {
+    fn from_iter<I: IntoIterator<Item = RegRef>>(iter: I) -> Self {
+        let mut list = Self::new();
+        list.extend(iter);
+        list
+    }
+}
+
+impl<'a, const N: usize> IntoIterator for &'a RegList<N> {
+    type Item = &'a RegRef;
+    type IntoIter = std::slice::Iter<'a, RegRef>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
 impl fmt::Display for RegRef {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let prefix = match self.class {

@@ -73,7 +73,7 @@ fn traces_expose_stream_structure() {
         assert!(!t.streams.is_empty(), "{} has no streams", bench.name());
         // Every consumed chunk index must exist in its stream's side table.
         for op in &t.ops {
-            for &(inst, chunk) in op.stream_reads.iter().chain(&op.stream_writes) {
+            for &(inst, chunk) in t.stream_reads(op).iter().chain(t.stream_writes(op)) {
                 assert!(
                     (chunk as usize) < t.streams[inst as usize].chunks.len(),
                     "{}: dangling chunk reference",

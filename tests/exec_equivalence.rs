@@ -78,6 +78,8 @@ fn assert_traces_equal(tag: &str, a: &Trace, b: &Trace) {
     }
     assert_eq!(a.ops.len(), b.ops.len(), "{tag}: trace length");
     assert_eq!(a.streams, b.streams, "{tag}: stream side tables");
+    assert_eq!(a.lines, b.lines, "{tag}: line pool");
+    assert_eq!(a.stream_refs, b.stream_refs, "{tag}: stream-ref pool");
 }
 
 /// Every kernel × flavor × vector length: full traced runs in both modes

@@ -9,7 +9,7 @@
 //! and one poisoned job must not take a figure sweep down.
 
 use uve::bench::{Job, Runner};
-use uve::core::{EmuConfig, Emulator, StreamFaultPlan};
+use uve::core::{EmuConfig, Emulator, StreamFaultPlan, Trace};
 use uve::cpu::{CpuConfig, OoOCore};
 use uve::kernels::{Benchmark, Flavor};
 use uve::mem::{FaultConfig, Memory};
@@ -91,6 +91,53 @@ fn recovered_faults_are_bit_identical_on_every_kernel() {
         total_faults += faults;
     }
     assert!(total_faults >= 19, "every kernel contributed faults");
+}
+
+/// Each pool of `t` holds exactly its ops' spans, laid end to end in op
+/// order: nothing a rolled-back attempt appended survives.
+fn assert_pools_tight(name: &str, t: &Trace) {
+    /// Checks that `span` (non-empty) starts at `pool[*at]`, then moves
+    /// `at` past it.
+    fn next<T>(name: &str, pool: &[T], span: &[T], at: &mut usize) {
+        if !span.is_empty() {
+            assert_eq!(
+                span.as_ptr(),
+                pool[*at..].as_ptr(),
+                "{name}: span out of order"
+            );
+        }
+        *at += span.len();
+    }
+    let (mut lines, mut refs) = (0, 0);
+    for op in &t.ops {
+        next(name, &t.lines, t.mem_lines(op), &mut lines);
+        next(name, &t.stream_refs, t.stream_reads(op), &mut refs);
+        next(name, &t.stream_refs, t.stream_writes(op), &mut refs);
+    }
+    assert_eq!(t.lines.len(), lines, "{name}: line pool");
+    assert_eq!(t.stream_refs.len(), refs, "{name}: stream-ref pool");
+}
+
+#[test]
+fn fault_rollback_leaves_the_trace_pools_exact() {
+    for bench in small_suite() {
+        let name = bench.name();
+        let (_, _, _, _, clean) = run_uve(bench.as_ref(), None);
+        let plan = StreamFaultPlan::new(0x5eed, 1);
+        let (_, _, _, faults, faulted) = run_uve(bench.as_ref(), Some(plan));
+        assert!(faults > 0, "{name}: rate-1 plan must fault");
+        assert_pools_tight(name, &faulted);
+        let stamped: u64 = faulted.ops.iter().map(|o| u64::from(o.stream_faults)).sum();
+        assert_eq!(stamped, faults, "{name}: every trap is stamped on its op");
+        let mut scrubbed = faulted.clone();
+        for op in &mut scrubbed.ops {
+            op.stream_faults = 0;
+        }
+        assert!(
+            scrubbed == clean,
+            "{name}: recovered trace differs from the clean one"
+        );
+    }
 }
 
 #[test]

@@ -1,10 +1,12 @@
 //! Invariants of the timing model: resource monotonicity, the paper's
-//! qualitative claims at small scale, and bit-identity of the quiet-cycle
-//! skip with cycle-by-cycle stepping.
+//! qualitative claims at small scale, bit-identity of the quiet-cycle skip
+//! with cycle-by-cycle stepping, and closed-form cycle counts of synthetic
+//! microtraces (latency-bound chains, width-bound streams, a mispredict).
 
 use uve::core::engine::EngineConfig;
-use uve::core::Trace;
+use uve::core::{BranchOutcome, Trace, TraceOp};
 use uve::cpu::{CorePipeline, CpuConfig, OoOCore, TimingStats};
+use uve::isa::{ExecClass, RegRef, XReg};
 use uve::kernels::{run_checked, Benchmark, Flavor};
 use uve::mem::{FaultConfig, SmpMem, SnoopStats};
 use uve::smp::{run_lockstep, shard_trace};
@@ -266,5 +268,166 @@ fn quiet_cycle_skip_is_exact_in_lockstep() {
             run.coherence_scans,
         );
         assert_eq!(got, lockstep_exact(&cpu, &traces, 64), "{tag}");
+    }
+}
+
+// ---- Closed-form oracles on synthetic traces ----
+//
+// Each microtrace has a cycle count known in closed form from the
+// configuration alone: a dependent chain is latency-bound, a stream of
+// independent ops is bound by the narrowest pipeline width it crosses,
+// and a mispredicted branch stalls fetch for the configured penalty after
+// it resolves. Every check holds at the default configuration and at each
+// vector-register and FIFO-depth point the Fig. 9/10 sweeps replay.
+
+/// Pipeline fill and drain of a microtrace: fetch → rename → issue →
+/// complete → commit takes a few cycles beyond the steady-state bound.
+const FILL: u64 = 10;
+
+/// Cycles from fetching a branch to its resolution (rename, issue,
+/// execute): a mispredict costs at most this beyond the penalty.
+const RESOLVE: u64 = 3;
+
+/// `CpuConfig::default()` plus each configuration Fig. 9 (`vec_prf`) and
+/// Fig. 10 (`engine.fifo_depth`) replays.
+fn figure_configs() -> Vec<CpuConfig> {
+    let mut cfgs = vec![CpuConfig::default()];
+    for vec_prf in [48, 64, 96] {
+        cfgs.push(CpuConfig {
+            vec_prf,
+            ..CpuConfig::default()
+        });
+    }
+    for fifo_depth in [2, 4, 8, 12] {
+        cfgs.push(CpuConfig {
+            engine: EngineConfig {
+                fifo_depth,
+                ..EngineConfig::default()
+            },
+            ..CpuConfig::default()
+        });
+    }
+    cfgs
+}
+
+fn x(n: usize) -> RegRef {
+    RegRef::x(XReg::new(n as u8))
+}
+
+/// `n` ops of `class`, each reading and writing `x5`: a serial chain.
+fn chain(n: usize, class: ExecClass) -> Trace {
+    let mut t = Trace::new();
+    t.ops.extend((0..n).map(|i| TraceOp {
+        srcs: [x(5)].into_iter().collect(),
+        dests: [x(5)].into_iter().collect(),
+        ..TraceOp::new(i as u32, class)
+    }));
+    t
+}
+
+/// `n` ops with no sources, cycling through `classes`, each writing one of
+/// eight registers (renaming removes the false dependencies).
+fn independent(n: usize, classes: &[ExecClass]) -> Trace {
+    let mut t = Trace::new();
+    t.ops.extend((0..n).map(|i| TraceOp {
+        dests: [x(5 + i % 8)].into_iter().collect(),
+        ..TraceOp::new(i as u32, classes[i % classes.len()])
+    }));
+    t
+}
+
+fn cycles(cfg: &CpuConfig, t: &Trace) -> u64 {
+    let stats = OoOCore::new(cfg.clone()).run(t);
+    assert_eq!(stats.committed, t.committed());
+    stats.account.check(stats.cycles).unwrap();
+    stats.cycles
+}
+
+#[test]
+fn dependent_chain_takes_n_times_latency() {
+    let classes = [
+        ExecClass::IntAlu,
+        ExecClass::IntMul,
+        ExecClass::IntDiv,
+        ExecClass::FpAdd,
+        ExecClass::FpMac,
+        ExecClass::FpDiv,
+        ExecClass::VecInt,
+    ];
+    for cfg in figure_configs() {
+        for class in classes {
+            let l = cfg.latency(class);
+            let n = 200;
+            let once = cycles(&cfg, &chain(n, class));
+            let twice = cycles(&cfg, &chain(2 * n, class));
+            let bound = n as u64 * l;
+            assert!(
+                (bound..=bound + FILL).contains(&once),
+                "{class:?}: {n} ops at latency {l} took {once} cycles"
+            );
+            assert_eq!(twice - once, bound, "{class:?}: each op adds exactly {l}");
+        }
+    }
+}
+
+#[test]
+fn independent_ops_take_n_over_the_narrowest_width() {
+    for cfg in figure_configs() {
+        let front = cfg.fetch_width.min(cfg.commit_width).min(cfg.issue_width);
+        let mixes: [(&[ExecClass], usize); 2] = [
+            // Integer ALU ops alone: bound by the integer units.
+            (&[ExecClass::IntAlu], front.min(cfg.int_units)),
+            // Alternating with FP adds: both clusters issue each cycle.
+            (
+                &[ExecClass::IntAlu, ExecClass::FpAdd],
+                front.min(cfg.int_units + cfg.fpvec_units),
+            ),
+        ];
+        for (classes, width) in mixes {
+            let n = 400;
+            let once = cycles(&cfg, &independent(n, classes));
+            let twice = cycles(&cfg, &independent(2 * n, classes));
+            let bound = (n / width) as u64;
+            assert!(
+                (bound..=bound + FILL).contains(&once),
+                "{classes:?}: {n} ops at width {width} took {once} cycles"
+            );
+            assert_eq!(twice - once, bound, "{classes:?}: width {width}");
+        }
+    }
+}
+
+#[test]
+fn one_mispredicted_branch_costs_the_penalty() {
+    for base in figure_configs() {
+        let mut resolve = None;
+        for penalty in [0, base.mispredict_penalty, 3 * base.mispredict_penalty] {
+            let cfg = CpuConfig {
+                mispredict_penalty: penalty,
+                ..base.clone()
+            };
+            // Front-end-bound work (both clusters busy), with a branch in
+            // the middle: without an outcome it is never predicted; as a
+            // not-taken branch it mispredicts, since the bimodal counters
+            // start weakly taken.
+            let n = 400;
+            let mut t = independent(n, &[ExecClass::IntAlu, ExecClass::FpAdd]);
+            t.ops[n / 2] = TraceOp::new(n as u32 / 2, ExecClass::Branch);
+            let straight = cycles(&cfg, &t);
+            t.ops[n / 2].branch = Some(BranchOutcome {
+                taken: false,
+                next_pc: n as u32 / 2 + 1,
+            });
+            let stats = OoOCore::new(cfg.clone()).run(&t);
+            assert_eq!(stats.branch_mispredicts, 1);
+            let cost = stats.cycles - straight;
+            assert!(
+                (penalty..=penalty + RESOLVE).contains(&cost),
+                "penalty {penalty}: the mispredict cost {cost} cycles"
+            );
+            // The resolution latency is the same at every penalty, so the
+            // penalty is charged cycle for cycle.
+            assert_eq!(*resolve.get_or_insert(cost - penalty), cost - penalty);
+        }
     }
 }

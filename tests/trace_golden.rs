@@ -63,7 +63,7 @@ fn trace_digest(t: &Trace) -> u64 {
         h.word(op.exec as u64);
         h.regs(op.srcs.iter().copied());
         h.regs(op.dests.iter().copied());
-        let lines = &op.mem_lines;
+        let lines = t.mem_lines(op);
         h.word(lines.len() as u64);
         for &l in lines {
             h.word(l);
@@ -77,10 +77,10 @@ fn trace_digest(t: &Trace) -> u64 {
             }
             None => h.word(0),
         }
-        h.refs(op.stream_reads.iter());
-        h.refs(op.stream_writes.iter());
-        h.opt(op.stream_open);
-        h.opt(op.stream_close);
+        h.refs(t.stream_reads(op).iter());
+        h.refs(t.stream_writes(op).iter());
+        h.opt(op.stream_open.get());
+        h.opt(op.stream_close.get());
         h.word(u64::from(op.stream_faults));
     }
     h.word(t.streams.len() as u64);
