@@ -302,6 +302,13 @@ impl PendingOp {
         }
     }
 
+    /// Records an explicit scalar access on `op`.
+    fn access(&mut self, op: &mut TraceOp, addr: u64, bytes: u64, is_store: bool) {
+        op.mem_addr = addr;
+        op.is_store = is_store;
+        self.line(addr, bytes);
+    }
+
     fn read(&mut self, r: StreamRef) {
         if self.on {
             self.reads.push(r);
@@ -315,19 +322,13 @@ impl PendingOp {
     }
 
     /// Moves the gathered parts into `trace`'s pools and points `op`'s
-    /// spans at them.
-    fn commit(&self, op: &mut TraceOp, trace: &mut Trace, pc: u32) -> Result<(), EmuError> {
-        let max = usize::from(u8::MAX);
-        if self.lines.len() > max || self.reads.len() > max || self.writes.len() > max {
-            return Err(EmuError::Internal {
-                pc,
-                what: "more than 255 lines or stream chunks in one op",
-            });
-        }
+    /// spans at them. Every count fits a span: an op touches at most
+    /// 2 × `MAX_LANES` lines and has at most one stream chunk per vector
+    /// operand.
+    fn commit(&self, op: &mut TraceOp, trace: &mut Trace) {
         op.mem_lines = trace.push_lines(&self.lines);
         op.stream_reads = trace.push_stream_refs(&self.reads);
         op.stream_writes = trace.push_stream_refs(&self.writes);
-        Ok(())
     }
 }
 
@@ -1541,13 +1542,8 @@ impl Emulator {
             } => {
                 let addr = (self.x[base.index()] + off as i64) as u64;
                 self.set_x(rd, self.mem.read_elem(addr, width));
-                record_mem(
-                    &mut op,
-                    &mut self.pending,
-                    addr,
-                    width.bytes() as u64,
-                    false,
-                );
+                self.pending
+                    .access(&mut op, addr, width.bytes() as u64, false);
             }
             Inst::St {
                 src,
@@ -1557,7 +1553,8 @@ impl Emulator {
             } => {
                 let addr = (self.x[base.index()] + off as i64) as u64;
                 self.mem.write_elem(addr, width, self.x[src.index()]);
-                record_mem(&mut op, &mut self.pending, addr, width.bytes() as u64, true);
+                self.pending
+                    .access(&mut op, addr, width.bytes() as u64, true);
             }
             Inst::Fld {
                 fd,
@@ -1571,13 +1568,8 @@ impl Emulator {
                     _ => self.mem.read_f32(addr) as f64,
                 };
                 self.set_f(fd, v);
-                record_mem(
-                    &mut op,
-                    &mut self.pending,
-                    addr,
-                    width.bytes() as u64,
-                    false,
-                );
+                self.pending
+                    .access(&mut op, addr, width.bytes() as u64, false);
             }
             Inst::Fst {
                 src,
@@ -1590,7 +1582,8 @@ impl Emulator {
                     ElemWidth::Double => self.mem.write_f64(addr, self.f[src.index()]),
                     _ => self.mem.write_f32(addr, self.f[src.index()] as f32),
                 }
-                record_mem(&mut op, &mut self.pending, addr, width.bytes() as u64, true);
+                self.pending
+                    .access(&mut op, addr, width.bytes() as u64, true);
             }
             Inst::FAlu {
                 op: o,
@@ -2142,10 +2135,14 @@ impl Emulator {
                     && refs.iter().any(|&(i, _)| streams[i as usize].u == r.num)
             };
             op.srcs = inst.srcs();
-            op.srcs.retain(|r| !streamed(&self.pending.reads, r));
+            if !self.pending.reads.is_empty() {
+                op.srcs.retain(|r| !streamed(&self.pending.reads, r));
+            }
             op.dests = inst.dests();
-            op.dests.retain(|r| !streamed(&self.pending.writes, r));
-            self.pending.commit(&mut op, trace, pc)?;
+            if !self.pending.writes.is_empty() {
+                op.dests.retain(|r| !streamed(&self.pending.writes, r));
+            }
+            self.pending.commit(&mut op, trace);
             trace.ops.push(op);
         }
         Ok(next)
@@ -2416,12 +2413,6 @@ fn mac_lanes_ref(
         }
     }
     out
-}
-
-fn record_mem(op: &mut TraceOp, pending: &mut PendingOp, addr: u64, bytes: u64, is_store: bool) {
-    op.mem_addr = addr;
-    op.is_store = is_store;
-    pending.line(addr, bytes);
 }
 
 fn scalar_alu(op: AluOp, a: i64, b: i64) -> i64 {

@@ -66,7 +66,7 @@ pub use fingerprint::{canonical_program_bytes, program_fingerprint};
 pub use stream_unit::{ActiveStream, Consumed, StreamError, StreamUnit};
 pub use trace::{
     BranchOutcome, ChunkMeta, InstanceSlot, Span, StreamInstance, StreamRef, StreamTrace, Trace,
-    TraceMark, TraceOp,
+    TraceOp,
 };
 pub use translate::ExecMode;
 pub use value::{PredVal, Scalar, VecVal, MAX_LANES};

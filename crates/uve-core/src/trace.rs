@@ -106,7 +106,7 @@ impl Span {
     ///
     /// Panics if the span lies outside `pool` (a span taken from another
     /// trace).
-    pub fn of<T>(self, pool: &[T]) -> &[T] {
+    fn of<T>(self, pool: &[T]) -> &[T] {
         let start = self.start as usize;
         &pool[start..start + self.len()]
     }
@@ -218,8 +218,9 @@ impl TraceOp {
 /// A complete dynamic trace: fixed-size ops plus the trace-wide pools
 /// their spans point into.
 ///
-/// Pool entries are appended in op order, so an op's spans start where the
-/// previous op's ended; a rollback ([`Trace::mark`], [`Trace::rollback`])
+/// Pool entries are appended in op order, so each non-empty span starts
+/// where the previous one in the same pool ended (an empty span's start is
+/// meaningless). A rollback ([`Trace::mark`], [`Trace::rollback`])
 /// truncates ops and pools together.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Trace {
@@ -236,7 +237,7 @@ pub struct Trace {
 /// The lengths of a [`Trace`] at one point, to roll a faulting
 /// instruction's partial recording back to.
 #[derive(Debug, Clone)]
-pub struct TraceMark {
+pub(crate) struct TraceMark {
     ops: usize,
     streams: usize,
     lines: usize,
@@ -291,7 +292,7 @@ impl Trace {
 
     /// Records the current lengths of the ops, the stream tables, every
     /// stream's chunk list and the pools.
-    pub fn mark(&self) -> TraceMark {
+    pub(crate) fn mark(&self) -> TraceMark {
         TraceMark {
             ops: self.ops.len(),
             streams: self.streams.len(),
@@ -303,7 +304,7 @@ impl Trace {
 
     /// Truncates everything recorded since `mark` (ops, stream instances,
     /// chunks and pool entries).
-    pub fn rollback(&mut self, mark: &TraceMark) {
+    pub(crate) fn rollback(&mut self, mark: &TraceMark) {
         self.ops.truncate(mark.ops);
         self.streams.truncate(mark.streams);
         for (s, &len) in self.streams.iter_mut().zip(&mark.chunks) {
@@ -315,7 +316,7 @@ impl Trace {
 
     /// Releases spare capacity: a finished trace keeps exactly what it
     /// holds.
-    pub fn shrink_to_fit(&mut self) {
+    pub(crate) fn shrink_to_fit(&mut self) {
         self.ops.shrink_to_fit();
         self.streams.shrink_to_fit();
         self.lines.shrink_to_fit();
@@ -371,6 +372,9 @@ impl Trace {
 }
 
 fn push_span<T: Copy>(pool: &mut Vec<T>, items: &[T]) -> Span {
+    if items.is_empty() {
+        return Span::default();
+    }
     let span = Span {
         start: u32::try_from(pool.len()).expect("trace pool outgrew u32 indices"),
         len: u8::try_from(items.len()).expect("more than 255 pool entries for one op"),

@@ -599,7 +599,7 @@ impl Inst {
             | FMac { fd, .. }
             | FUn { fd, .. }
             | FMvFX { fd, .. }
-            | FCvtFX { fd, .. } => regs(&[RegRef::f(fd)]),
+            | FCvtFX { fd, .. } => RegList::from_slice(&[RegRef::f(fd)]),
             FMvXF { rd, .. } | FCvtXF { rd, .. } => nonzero_x(rd),
             Jal { rd, .. } => nonzero_x(rd),
             SsGetVl { rd, .. } | SsSetVl { rd, .. } | IncVl { rd, .. } | CntVl { rd, .. } => {
@@ -612,16 +612,16 @@ impl Inst {
             | VArithVS { vd, .. }
             | VRed { vd, .. }
             | VLoad { vd, .. }
-            | VGather { vd, .. } => regs(&[RegRef::v(vd)]),
-            VMac { vd, .. } | VMacVS { vd, .. } => regs(&[RegRef::v(vd)]),
+            | VGather { vd, .. } => RegList::from_slice(&[RegRef::v(vd)]),
+            VMac { vd, .. } | VMacVS { vd, .. } => RegList::from_slice(&[RegRef::v(vd)]),
             VCmp { pd, .. }
             | PredAlu { pd, .. }
             | PredFromValid { pd, .. }
-            | WhileLt { pd, .. } => regs(&[RegRef::p(pd)]),
-            VExtractF { fd, .. } => regs(&[RegRef::f(fd)]),
+            | WhileLt { pd, .. } => RegList::from_slice(&[RegRef::p(pd)]),
+            VExtractF { fd, .. } => RegList::from_slice(&[RegRef::f(fd)]),
             VExtractX { rd, .. } => nonzero_x(rd),
-            VLoadPost { vd, base, .. } => regs(&[RegRef::v(vd), RegRef::x(base)]),
-            VStorePost { base, .. } => regs(&[RegRef::x(base)]),
+            VLoadPost { vd, base, .. } => RegList::from_slice(&[RegRef::v(vd), RegRef::x(base)]),
+            VStorePost { base, .. } => RegList::from_slice(&[RegRef::x(base)]),
             St { .. }
             | Fst { .. }
             | Branch { .. }
@@ -648,53 +648,60 @@ impl Inst {
     pub fn srcs(&self) -> SrcRegs {
         use Inst::*;
         match *self {
-            Alu { rs1, rs2, .. } => regs(&[RegRef::x(rs1), RegRef::x(rs2)]),
-            AluImm { rs1, .. } => regs(&[RegRef::x(rs1)]),
+            Alu { rs1, rs2, .. } => RegList::from_slice(&[RegRef::x(rs1), RegRef::x(rs2)]),
+            AluImm { rs1, .. } => RegList::from_slice(&[RegRef::x(rs1)]),
             Lui { .. } => RegList::new(),
-            Ld { base, .. } => regs(&[RegRef::x(base)]),
-            St { src, base, .. } => regs(&[RegRef::x(src), RegRef::x(base)]),
-            Fld { base, .. } => regs(&[RegRef::x(base)]),
-            Fst { src, base, .. } => regs(&[RegRef::f(src), RegRef::x(base)]),
-            FAlu { fs1, fs2, .. } => regs(&[RegRef::f(fs1), RegRef::f(fs2)]),
-            FMac { fs1, fs2, fs3, .. } => regs(&[RegRef::f(fs1), RegRef::f(fs2), RegRef::f(fs3)]),
-            FUn { fs, .. } => regs(&[RegRef::f(fs)]),
-            FMvXF { fs, .. } => regs(&[RegRef::f(fs)]),
-            FMvFX { rs, .. } => regs(&[RegRef::x(rs)]),
-            FCvtFX { rs, .. } => regs(&[RegRef::x(rs)]),
-            FCvtXF { fs, .. } => regs(&[RegRef::f(fs)]),
-            Branch { rs1, rs2, .. } => regs(&[RegRef::x(rs1), RegRef::x(rs2)]),
+            Ld { base, .. } => RegList::from_slice(&[RegRef::x(base)]),
+            St { src, base, .. } => RegList::from_slice(&[RegRef::x(src), RegRef::x(base)]),
+            Fld { base, .. } => RegList::from_slice(&[RegRef::x(base)]),
+            Fst { src, base, .. } => RegList::from_slice(&[RegRef::f(src), RegRef::x(base)]),
+            FAlu { fs1, fs2, .. } => RegList::from_slice(&[RegRef::f(fs1), RegRef::f(fs2)]),
+            FMac { fs1, fs2, fs3, .. } => {
+                RegList::from_slice(&[RegRef::f(fs1), RegRef::f(fs2), RegRef::f(fs3)])
+            }
+            FUn { fs, .. } => RegList::from_slice(&[RegRef::f(fs)]),
+            FMvXF { fs, .. } => RegList::from_slice(&[RegRef::f(fs)]),
+            FMvFX { rs, .. } => RegList::from_slice(&[RegRef::x(rs)]),
+            FCvtFX { rs, .. } => RegList::from_slice(&[RegRef::x(rs)]),
+            FCvtXF { fs, .. } => RegList::from_slice(&[RegRef::f(fs)]),
+            Branch { rs1, rs2, .. } => RegList::from_slice(&[RegRef::x(rs1), RegRef::x(rs2)]),
             Jal { .. } | Halt | Nop => RegList::new(),
             SsStart {
                 base, size, stride, ..
-            } => regs(&[RegRef::x(base), RegRef::x(size), RegRef::x(stride)]),
+            } => RegList::from_slice(&[RegRef::x(base), RegRef::x(size), RegRef::x(stride)]),
             SsApp {
                 offset,
                 size,
                 stride,
                 ..
-            } => regs(&[RegRef::x(offset), RegRef::x(size), RegRef::x(stride)]),
-            SsAppMod { disp, count, .. } => regs(&[RegRef::x(disp), RegRef::x(count)]),
-            SsAppInd { origin, .. } => regs(&[RegRef::v(origin)]),
+            } => RegList::from_slice(&[RegRef::x(offset), RegRef::x(size), RegRef::x(stride)]),
+            SsAppMod { disp, count, .. } => {
+                RegList::from_slice(&[RegRef::x(disp), RegRef::x(count)])
+            }
+            SsAppInd { origin, .. } => RegList::from_slice(&[RegRef::v(origin)]),
             SsCtl { .. } | SsCfgMem { .. } | SsGetVl { .. } => RegList::new(),
-            SsSetVl { rs, .. } => regs(&[RegRef::x(rs)]),
-            PredFromValid { vs, .. } => regs(&[RegRef::v(vs)]),
-            SsBranch { u, .. } => regs(&[RegRef::v(u)]),
+            SsSetVl { rs, .. } => RegList::from_slice(&[RegRef::x(rs)]),
+            PredFromValid { vs, .. } => RegList::from_slice(&[RegRef::v(vs)]),
+            SsBranch { u, .. } => RegList::from_slice(&[RegRef::v(u)]),
             VDup { src, .. } => dup_src(src).into_iter().collect(),
-            VMv { vs, .. } => regs(&[RegRef::v(vs)]),
-            VUn { vs, pred, .. } => with_pred(regs(&[RegRef::v(vs)]), pred),
+            VMv { vs, .. } => RegList::from_slice(&[RegRef::v(vs)]),
+            VUn { vs, pred, .. } => with_pred(RegList::from_slice(&[RegRef::v(vs)]), pred),
             VArith { vs1, vs2, pred, .. } => {
-                with_pred(regs(&[RegRef::v(vs1), RegRef::v(vs2)]), pred)
+                with_pred(RegList::from_slice(&[RegRef::v(vs1), RegRef::v(vs2)]), pred)
             }
             VArithVS {
                 vs1, scalar, pred, ..
             } => {
-                let mut v = regs(&[RegRef::v(vs1)]);
+                let mut v = RegList::from_slice(&[RegRef::v(vs1)]);
                 v.extend(dup_src(scalar));
                 with_pred(v, pred)
             }
             VMac {
                 vd, vs1, vs2, pred, ..
-            } => with_pred(regs(&[RegRef::v(vd), RegRef::v(vs1), RegRef::v(vs2)]), pred),
+            } => with_pred(
+                RegList::from_slice(&[RegRef::v(vd), RegRef::v(vs1), RegRef::v(vs2)]),
+                pred,
+            ),
             VMacVS {
                 vd,
                 vs1,
@@ -702,21 +709,24 @@ impl Inst {
                 pred,
                 ..
             } => {
-                let mut v = regs(&[RegRef::v(vd), RegRef::v(vs1)]);
+                let mut v = RegList::from_slice(&[RegRef::v(vd), RegRef::v(vs1)]);
                 v.extend(dup_src(scalar));
                 with_pred(v, pred)
             }
-            VRed { vs, pred, .. } => with_pred(regs(&[RegRef::v(vs)]), pred),
-            VCmp { vs1, vs2, .. } => regs(&[RegRef::v(vs1), RegRef::v(vs2)]),
+            VRed { vs, pred, .. } => with_pred(RegList::from_slice(&[RegRef::v(vs)]), pred),
+            VCmp { vs1, vs2, .. } => RegList::from_slice(&[RegRef::v(vs1), RegRef::v(vs2)]),
             PredAlu { op, ps1, ps2, .. } => match op {
-                PredOp::Mov | PredOp::Not => regs(&[RegRef::p(ps1)]),
-                _ => regs(&[RegRef::p(ps1), RegRef::p(ps2)]),
+                PredOp::Mov | PredOp::Not => RegList::from_slice(&[RegRef::p(ps1)]),
+                _ => RegList::from_slice(&[RegRef::p(ps1), RegRef::p(ps2)]),
             },
-            BrPred { p, .. } => regs(&[RegRef::p(p)]),
-            VExtractF { vs, .. } | VExtractX { vs, .. } => regs(&[RegRef::v(vs)]),
+            BrPred { p, .. } => RegList::from_slice(&[RegRef::p(p)]),
+            VExtractF { vs, .. } | VExtractX { vs, .. } => RegList::from_slice(&[RegRef::v(vs)]),
             VLoad {
                 base, index, pred, ..
-            } => with_pred(regs(&[RegRef::x(base), RegRef::x(index)]), pred),
+            } => with_pred(
+                RegList::from_slice(&[RegRef::x(base), RegRef::x(index)]),
+                pred,
+            ),
             VStore {
                 vs,
                 base,
@@ -724,12 +734,15 @@ impl Inst {
                 pred,
                 ..
             } => with_pred(
-                regs(&[RegRef::v(vs), RegRef::x(base), RegRef::x(index)]),
+                RegList::from_slice(&[RegRef::v(vs), RegRef::x(base), RegRef::x(index)]),
                 pred,
             ),
             VGather {
                 base, idx, pred, ..
-            } => with_pred(regs(&[RegRef::x(base), RegRef::v(idx)]), pred),
+            } => with_pred(
+                RegList::from_slice(&[RegRef::x(base), RegRef::v(idx)]),
+                pred,
+            ),
             VScatter {
                 vs,
                 base,
@@ -737,15 +750,17 @@ impl Inst {
                 pred,
                 ..
             } => with_pred(
-                regs(&[RegRef::v(vs), RegRef::x(base), RegRef::v(idx)]),
+                RegList::from_slice(&[RegRef::v(vs), RegRef::x(base), RegRef::v(idx)]),
                 pred,
             ),
-            WhileLt { rs1, rs2, .. } => regs(&[RegRef::x(rs1), RegRef::x(rs2)]),
-            IncVl { rd, .. } => regs(&[RegRef::x(rd)]),
+            WhileLt { rs1, rs2, .. } => RegList::from_slice(&[RegRef::x(rs1), RegRef::x(rs2)]),
+            IncVl { rd, .. } => RegList::from_slice(&[RegRef::x(rd)]),
             CntVl { .. } => RegList::new(),
-            VLoadPost { base, pred, .. } => with_pred(regs(&[RegRef::x(base)]), pred),
+            VLoadPost { base, pred, .. } => {
+                with_pred(RegList::from_slice(&[RegRef::x(base)]), pred)
+            }
             VStorePost { vs, base, pred, .. } => {
-                with_pred(regs(&[RegRef::v(vs), RegRef::x(base)]), pred)
+                with_pred(RegList::from_slice(&[RegRef::v(vs), RegRef::x(base)]), pred)
             }
         }
     }
@@ -850,12 +865,12 @@ impl Inst {
     }
 }
 
-fn regs<const N: usize>(rs: &[RegRef]) -> RegList<N> {
-    rs.iter().copied().collect()
-}
-
-fn nonzero_x<const N: usize>(rd: XReg) -> RegList<N> {
-    dup_src(DupSrc::X(rd)).into_iter().collect()
+fn nonzero_x(rd: XReg) -> DestRegs {
+    if rd == XReg::ZERO {
+        RegList::new()
+    } else {
+        RegList::from_slice(&[RegRef::x(rd)])
+    }
 }
 
 fn dup_src(s: DupSrc) -> Option<RegRef> {

@@ -245,10 +245,23 @@ impl<const N: usize> RegList<N> {
 
     /// An empty list.
     pub const fn new() -> Self {
+        const { assert!(N <= u8::MAX as usize, "the length is a u8") };
         Self {
             len: 0,
             regs: [UNUSED; N],
         }
+    }
+
+    /// A list holding `rs`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rs` is longer than [`CAPACITY`](Self::CAPACITY).
+    pub fn from_slice(rs: &[RegRef]) -> Self {
+        let mut list = Self::new();
+        list.regs[..rs.len()].copy_from_slice(rs);
+        list.len = rs.len() as u8;
+        list
     }
 
     /// Appends `r`.
@@ -365,6 +378,34 @@ mod tests {
         assert_eq!(FReg::FA0.to_string(), "f10");
         assert_eq!(VReg::new(3).to_string(), "u3");
         assert_eq!(PReg::P0.to_string(), "p0");
+    }
+
+    #[test]
+    fn reg_list_is_an_inline_slice() {
+        let (a, b, c) = (
+            RegRef::x(XReg::A0),
+            RegRef::v(VReg::new(2)),
+            RegRef::p(PReg::new(1)),
+        );
+        let mut l = RegList::<5>::from_slice(&[a, b, c]);
+        assert_eq!(*l, [a, b, c]);
+        l.retain(|r| r.class != RegClass::Vec);
+        assert_eq!(*l, [a, c]);
+        // Equality ignores what the dropped slot used to hold.
+        let mut m = RegList::<5>::new();
+        m.extend([a, c]);
+        assert_eq!(l, m);
+        assert_eq!(format!("{l:?}"), format!("{:?}", [a, c]));
+        assert_eq!(l.capacity(), 0, "no heap slots");
+        assert_eq!(RegList::<5>::CAPACITY, 5);
+        assert_eq!(std::mem::size_of::<RegList<2>>(), 5);
+    }
+
+    #[test]
+    #[should_panic]
+    fn reg_list_overflow_panics() {
+        let mut l = RegList::<2>::new();
+        l.extend([RegRef::x(XReg::A0); 3]);
     }
 
     #[test]
