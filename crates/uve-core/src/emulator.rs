@@ -3,7 +3,7 @@
 
 use crate::stream_unit::{StreamError, StreamUnit};
 use crate::trace::{BranchOutcome, StreamRef, Trace, TraceOp};
-use crate::translate::{ExecMode, TranslationCache};
+use crate::translate::{Block, ExecMode, TranslationCache};
 use crate::value::{PredVal, Scalar, VecVal};
 use std::borrow::Cow;
 use std::collections::HashSet;
@@ -13,7 +13,7 @@ use uve_isa::{
     PredCond, PredOp, Program, RegClass, RegRef, StreamCond, StreamCtl, VCmpOp, VOp, VReg, VType,
     VUnOp, XReg,
 };
-use uve_mem::{Memory, LINE_BYTES};
+use uve_mem::Memory;
 
 /// Emulator configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -254,82 +254,19 @@ pub struct Emulator {
     faults_taken: u64,
     /// Translated basic blocks (used only under [`ExecMode::Translated`]).
     cache: TranslationCache,
-    /// The pooled parts of the op being executed.
-    pending: PendingOp,
+    /// The stream references of the op being executed.
+    pending: PendingRefs,
 }
 
-/// The variable-length parts of the op being executed: its explicit-access
-/// lines and its stream chunk references. They are gathered here, in
-/// buffers reused from op to op, and copied into the trace's pools when the
-/// op commits, so recording allocates nothing per op and a faulting op
-/// leaves the pools untouched. Untraced runs gather nothing.
-#[derive(Debug)]
-struct PendingOp {
-    on: bool,
-    lines: Vec<u64>,
+/// The stream chunk references of the op being executed, staged in
+/// buffers reused from op to op. The op's register lists are filtered
+/// against them before they reach the trace's stream-ref pool at commit,
+/// reads then writes, so each side stays one contiguous span. Filled only
+/// when recording.
+#[derive(Debug, Default)]
+struct PendingRefs {
     reads: Vec<StreamRef>,
     writes: Vec<StreamRef>,
-}
-
-impl PendingOp {
-    fn new(on: bool) -> Self {
-        Self {
-            on,
-            lines: Vec::new(),
-            reads: Vec::new(),
-            writes: Vec::new(),
-        }
-    }
-
-    fn clear(&mut self) {
-        self.lines.clear();
-        self.reads.clear();
-        self.writes.clear();
-    }
-
-    /// Adds the lines of a `bytes`-byte access at `addr`, skipping a
-    /// repeat of the last line.
-    fn line(&mut self, addr: u64, bytes: u64) {
-        if !self.on {
-            return;
-        }
-        let first = addr / LINE_BYTES;
-        let last = (addr + bytes - 1) / LINE_BYTES;
-        for l in first..=last {
-            if self.lines.last() != Some(&l) {
-                self.lines.push(l);
-            }
-        }
-    }
-
-    /// Records an explicit scalar access on `op`.
-    fn access(&mut self, op: &mut TraceOp, addr: u64, bytes: u64, is_store: bool) {
-        op.mem_addr = addr;
-        op.is_store = is_store;
-        self.line(addr, bytes);
-    }
-
-    fn read(&mut self, r: StreamRef) {
-        if self.on {
-            self.reads.push(r);
-        }
-    }
-
-    fn write(&mut self, r: StreamRef) {
-        if self.on {
-            self.writes.push(r);
-        }
-    }
-
-    /// Moves the gathered parts into `trace`'s pools and points `op`'s
-    /// spans at them. Every count fits a span: an op touches at most
-    /// 2 × `MAX_LANES` lines and has at most one stream chunk per vector
-    /// operand.
-    fn commit(&self, op: &mut TraceOp, trace: &mut Trace) {
-        op.mem_lines = trace.push_lines(&self.lines);
-        op.stream_reads = trace.push_stream_refs(&self.reads);
-        op.stream_writes = trace.push_stream_refs(&self.writes);
-    }
 }
 
 impl Emulator {
@@ -352,7 +289,7 @@ impl Emulator {
             fault_plan: None,
             faults_taken: 0,
             cache: TranslationCache::new(),
-            pending: PendingOp::new(cfg.record_trace),
+            pending: PendingRefs::default(),
         }
     }
 
@@ -492,7 +429,9 @@ impl Emulator {
                     what: "stream vanished during consume",
                 })?
                 .instance;
-            self.pending.read((inst, c.chunk));
+            if self.cfg.record_trace {
+                self.pending.reads.push((inst, c.chunk));
+            }
             if self.streams.get(r).is_some_and(|s| s.at_end()) {
                 // Pattern complete: the stream terminates and the register
                 // reverts to a plain vector register (Sec. IV-A, Stream
@@ -545,7 +484,9 @@ impl Emulator {
                     what: "stream vanished during produce",
                 })?
                 .instance;
-            self.pending.write((inst, chunk));
+            if self.cfg.record_trace {
+                self.pending.writes.push((inst, chunk));
+            }
             if self.streams.get(r).is_some_and(|s| s.at_end()) {
                 op.stream_close = Some(inst).into();
                 let _ = self.streams.stop(r);
@@ -746,7 +687,8 @@ impl Emulator {
             }
             let span = usize::try_from(gate - cursor.steps)
                 .map_or(block.flats.len(), |g| g.min(block.flats.len()));
-            if fast && block.simple_body && span == block.flats.len() {
+            let fused = block.body.as_deref();
+            if let Some(body) = fused.filter(|_| fast && span == block.flats.len()) {
                 // All-simple body: no op before the last can fail, branch,
                 // or touch a stream, so the body runs with no per-op
                 // dispatch machinery; the final op alone decides the
@@ -756,32 +698,17 @@ impl Emulator {
                 // `budget` pre-counts how many whole iterations fit before
                 // the next fuel / slice / deadline gate, so gate step
                 // numbers still match the interpreter exactly.
-                let n = block.flats.len();
-                let last_pc = block.start_pc + (n - 1) as u32;
-                let mut budget = (gate - cursor.steps) / n as u64;
-                loop {
-                    for flat in &block.flats[..n - 1] {
-                        self.exec_simple(flat);
-                    }
-                    match self.exec_flat(
-                        &block.flats[n - 1],
-                        &block.insts[n - 1],
-                        last_pc,
-                        &mut cursor.trace,
-                    ) {
-                        Ok(rd) => {
-                            cursor.steps += n as u64;
-                            cursor.pc = rd.unwrap_or(last_pc + 1);
-                            budget -= 1;
-                            if budget == 0 || cursor.pc != block.start_pc {
-                                break;
-                            }
-                        }
-                        Err(e) => {
-                            cursor.steps += (n - 1) as u64;
-                            cursor.pc = last_pc;
-                            return Err(e);
-                        }
+                let n = block.flats.len() as u64;
+                let last_pc = block.start_pc + (block.flats.len() - 1) as u32;
+                let budget = (gate - cursor.steps) / n;
+                let (iters, last) = self.run_simple_block(block, body, budget, &mut cursor.trace);
+                cursor.steps += iters * n;
+                match last {
+                    Ok(rd) => cursor.pc = rd.unwrap_or(last_pc + 1),
+                    Err(e) => {
+                        cursor.steps += n - 1;
+                        cursor.pc = last_pc;
+                        return Err(e);
                     }
                 }
                 continue;
@@ -820,6 +747,118 @@ impl Emulator {
             cursor.steps += done as u64;
             cursor.pc = redirect.unwrap_or(block.start_pc + done as u32);
         }
+    }
+
+    /// Runs an all-simple block (its fused [`Block::body`]) for up to `budget`
+    /// whole passes, looping while its final op branches back to the
+    /// block's start. Returns the passes committed in full and the final
+    /// op's outcome on the last pass (an error leaves that pass's final op
+    /// uncommitted). Kept out of line so the loop gets the registers to
+    /// itself rather than sharing them with the general dispatch loop.
+    #[inline(never)]
+    fn run_simple_block(
+        &mut self,
+        block: &Block,
+        body: &[FlatOp],
+        mut budget: u64,
+        trace: &mut Trace,
+    ) -> (u64, Result<Option<u32>, EmuError>) {
+        let n = block.flats.len() - 1;
+        let last = &block.flats[n];
+        if let FlatOp::Branch {
+            cond,
+            rs1,
+            rs2,
+            target,
+        } = *last
+        {
+            if target == block.start_pc {
+                // The canonical counted loop: the branch condition is
+                // resolved once here, so each pass tests it inline.
+                let (passes, taken) = match cond {
+                    BrCond::Eq => self.loop_while(body, rs1, rs2, budget, |a, b| a == b),
+                    BrCond::Ne => self.loop_while(body, rs1, rs2, budget, |a, b| a != b),
+                    BrCond::Lt => self.loop_while(body, rs1, rs2, budget, |a, b| a < b),
+                    BrCond::Ge => self.loop_while(body, rs1, rs2, budget, |a, b| a >= b),
+                    BrCond::Ltu => {
+                        self.loop_while(body, rs1, rs2, budget, |a, b| (a as u64) < (b as u64))
+                    }
+                    BrCond::Geu => {
+                        self.loop_while(body, rs1, rs2, budget, |a, b| (a as u64) >= (b as u64))
+                    }
+                };
+                return (passes, Ok(taken.then_some(target)));
+            }
+        }
+        let last_inst = &block.insts[n];
+        let last_pc = block.start_pc + n as u32;
+        let mut passes = 0;
+        loop {
+            for flat in body {
+                self.exec_simple(flat);
+            }
+            match self.exec_flat(last, last_inst, last_pc, trace) {
+                Ok(rd) => {
+                    passes += 1;
+                    budget -= 1;
+                    if budget == 0 || rd != Some(block.start_pc) {
+                        return (passes, Ok(rd));
+                    }
+                }
+                Err(e) => return (passes, Err(e)),
+            }
+        }
+    }
+
+    /// Runs `body` then tests `taken(x[rs1], x[rs2])`, repeating while the
+    /// branch is taken and `budget` passes remain. Returns the passes run
+    /// and whether the last one's branch was taken.
+    #[inline(always)]
+    fn loop_while(
+        &mut self,
+        body: &[FlatOp],
+        rs1: u8,
+        rs2: u8,
+        budget: u64,
+        taken: impl Fn(i64, i64) -> bool,
+    ) -> (u64, bool) {
+        let mut passes = 0;
+        loop {
+            for flat in body {
+                self.exec_simple(flat);
+            }
+            passes += 1;
+            let t = taken(self.x[(rs1 & 31) as usize], self.x[(rs2 & 31) as usize]);
+            if !t || passes == budget {
+                return (passes, t);
+            }
+        }
+    }
+
+    /// Appends the cache lines of a `bytes`-byte explicit access at `addr`
+    /// to the trace's line pool when recording. `since` is the pool length
+    /// when the executing op began.
+    #[inline]
+    fn record_lines(&self, trace: &mut Trace, since: usize, addr: u64, bytes: u64) {
+        if self.cfg.record_trace {
+            trace.push_access_lines(since, addr, bytes);
+        }
+    }
+
+    /// Records a scalar load or store on `op` and its lines in the pool.
+    #[inline]
+    fn record_access(
+        &self,
+        op: &mut TraceOp,
+        trace: &mut Trace,
+        since: usize,
+        addr: u64,
+        bytes: u64,
+        is_store: bool,
+    ) {
+        op.mem_addr = addr;
+        op.is_store = is_store;
+        self.record_lines(trace, since, addr, bytes);
     }
 
     /// Writes integer register `rd` by raw index (`x0` stays zero) — the
@@ -933,6 +972,52 @@ impl Emulator {
     #[inline(always)]
     fn exec_simple(&mut self, flat: &FlatOp) {
         match *flat {
+            // Address and counter bumps dominate scalar loops: give `addi`
+            // and `add` their own arms so they skip the nested ALU dispatch.
+            FlatOp::AluImm {
+                op: AluOp::Add,
+                rd,
+                rs1,
+                imm,
+            } => {
+                let a = self.x[(rs1 & 31) as usize];
+                self.set_x_idx(rd, a.wrapping_add(imm));
+            }
+            FlatOp::Alu {
+                op: AluOp::Add,
+                rd,
+                rs1,
+                rs2,
+            } => {
+                let a = self.x[(rs1 & 31) as usize];
+                let b = self.x[(rs2 & 31) as usize];
+                self.set_x_idx(rd, a.wrapping_add(b));
+            }
+            FlatOp::AddI2 { rd, rs1, imm } => {
+                for k in 0..2 {
+                    let a = self.x[(rs1[k] & 31) as usize];
+                    self.set_x_idx(rd[k], a.wrapping_add(i64::from(imm[k])));
+                }
+            }
+            FlatOp::FldW2 { fd, base, off } => {
+                for k in 0..2 {
+                    let addr = (self.x[(base[k] & 31) as usize] + i64::from(off[k])) as u64;
+                    self.f[(fd[k] & 31) as usize] = f64::from(self.mem.read_f32(addr));
+                }
+            }
+            FlatOp::FstWAddI {
+                src,
+                base,
+                off,
+                rd,
+                rs1,
+                imm,
+            } => {
+                let addr = (self.x[(base & 31) as usize] + i64::from(off)) as u64;
+                self.mem.write_f32(addr, self.f[(src & 31) as usize] as f32);
+                let a = self.x[(rs1 & 31) as usize];
+                self.set_x_idx(rd, a.wrapping_add(i64::from(imm)));
+            }
             FlatOp::Alu { op, rd, rs1, rs2 } => {
                 let a = self.x[(rs1 & 31) as usize];
                 let b = self.x[(rs2 & 31) as usize];
@@ -1075,7 +1160,10 @@ impl Emulator {
                 };
                 self.p[0] = PredVal::all_true();
             }
-            _ => unreachable!("non-simple op dispatched to exec_simple"),
+            // Callers dispatch only simple ops here. A no-op arm, rather
+            // than a panicking one, lets the jump table span every variant
+            // with no range check on the hot path.
+            _ => debug_assert!(false, "non-simple op dispatched to exec_simple"),
         }
     }
 
@@ -1508,7 +1596,9 @@ impl Emulator {
     #[allow(clippy::too_many_lines)]
     fn step(&mut self, inst: Inst, pc: u32, trace: &mut Trace) -> Result<u32, EmuError> {
         let mut op = TraceOp::new(pc, inst.exec_class());
-        self.pending.clear();
+        let lines_start = trace.lines.len();
+        self.pending.reads.clear();
+        self.pending.writes.clear();
         let mut next = pc + 1;
         let mut consumed: Vec<(VReg, VecVal)> = Vec::new();
         let vlen = self.cfg.vlen_bytes;
@@ -1542,8 +1632,14 @@ impl Emulator {
             } => {
                 let addr = (self.x[base.index()] + off as i64) as u64;
                 self.set_x(rd, self.mem.read_elem(addr, width));
-                self.pending
-                    .access(&mut op, addr, width.bytes() as u64, false);
+                self.record_access(
+                    &mut op,
+                    trace,
+                    lines_start,
+                    addr,
+                    width.bytes() as u64,
+                    false,
+                );
             }
             Inst::St {
                 src,
@@ -1553,8 +1649,14 @@ impl Emulator {
             } => {
                 let addr = (self.x[base.index()] + off as i64) as u64;
                 self.mem.write_elem(addr, width, self.x[src.index()]);
-                self.pending
-                    .access(&mut op, addr, width.bytes() as u64, true);
+                self.record_access(
+                    &mut op,
+                    trace,
+                    lines_start,
+                    addr,
+                    width.bytes() as u64,
+                    true,
+                );
             }
             Inst::Fld {
                 fd,
@@ -1568,8 +1670,14 @@ impl Emulator {
                     _ => self.mem.read_f32(addr) as f64,
                 };
                 self.set_f(fd, v);
-                self.pending
-                    .access(&mut op, addr, width.bytes() as u64, false);
+                self.record_access(
+                    &mut op,
+                    trace,
+                    lines_start,
+                    addr,
+                    width.bytes() as u64,
+                    false,
+                );
             }
             Inst::Fst {
                 src,
@@ -1582,8 +1690,14 @@ impl Emulator {
                     ElemWidth::Double => self.mem.write_f64(addr, self.f[src.index()]),
                     _ => self.mem.write_f32(addr, self.f[src.index()] as f32),
                 }
-                self.pending
-                    .access(&mut op, addr, width.bytes() as u64, true);
+                self.record_access(
+                    &mut op,
+                    trace,
+                    lines_start,
+                    addr,
+                    width.bytes() as u64,
+                    true,
+                );
             }
             Inst::FAlu {
                 op: o,
@@ -1978,7 +2092,7 @@ impl Emulator {
                         out.set_int(l, self.mem.read_elem(addr, width));
                         out.set_lane_valid(l, true);
                         first_addr.get_or_insert(addr);
-                        self.pending.line(addr, wb);
+                        self.record_lines(trace, lines_start, addr, wb);
                     }
                 }
                 op.mem_addr = first_addr.unwrap_or(b);
@@ -2004,7 +2118,7 @@ impl Emulator {
                         let addr = b.wrapping_add(((idx + l as i64) as u64).wrapping_mul(wb));
                         self.mem.write_elem(addr, width, val.int(l));
                         first_addr.get_or_insert(addr);
-                        self.pending.line(addr, wb);
+                        self.record_lines(trace, lines_start, addr, wb);
                     }
                 }
                 op.mem_addr = first_addr.unwrap_or(b);
@@ -2029,7 +2143,7 @@ impl Emulator {
                         out.set_int(l, self.mem.read_elem(addr, width));
                         out.set_lane_valid(l, true);
                         first_addr.get_or_insert(addr);
-                        self.pending.line(addr, wb);
+                        self.record_lines(trace, lines_start, addr, wb);
                     }
                 }
                 op.mem_addr = first_addr.unwrap_or(b);
@@ -2056,7 +2170,7 @@ impl Emulator {
                         let addr = b.wrapping_add((iv.int(l) as u64).wrapping_mul(wb));
                         self.mem.write_elem(addr, width, val.int(l));
                         first_addr.get_or_insert(addr);
-                        self.pending.line(addr, wb);
+                        self.record_lines(trace, lines_start, addr, wb);
                     }
                 }
                 op.mem_addr = first_addr.unwrap_or(b);
@@ -2095,7 +2209,7 @@ impl Emulator {
                         let addr = b + l as u64 * wb;
                         out.set_int(l, self.mem.read_elem(addr, width));
                         out.set_lane_valid(l, true);
-                        self.pending.line(addr, wb);
+                        self.record_lines(trace, lines_start, addr, wb);
                     }
                 }
                 op.mem_addr = b;
@@ -2119,7 +2233,7 @@ impl Emulator {
                     if pm.get(l) && val.lane_valid(l) {
                         let addr = b + l as u64 * wb;
                         self.mem.write_elem(addr, width, val.int(l));
-                        self.pending.line(addr, wb);
+                        self.record_lines(trace, lines_start, addr, wb);
                     }
                 }
                 self.set_x(base, (b + vlen as u64) as i64);
@@ -2142,7 +2256,9 @@ impl Emulator {
             if !self.pending.writes.is_empty() {
                 op.dests.retain(|r| !streamed(&self.pending.writes, r));
             }
-            self.pending.commit(&mut op, trace);
+            op.mem_lines = trace.lines_since(lines_start);
+            op.stream_reads = trace.push_stream_refs(&self.pending.reads);
+            op.stream_writes = trace.push_stream_refs(&self.pending.writes);
             trace.ops.push(op);
         }
         Ok(next)

@@ -12,6 +12,7 @@
 //! coalescing) without re-walking descriptors.
 
 use uve_isa::{DestRegs, Dir, ElemWidth, ExecClass, MemLevel, SrcRegs};
+use uve_mem::LINE_BYTES;
 
 /// Identifier of a dynamic stream instance (one per completed stream
 /// configuration; a register reconfigured `n` times yields `n` instances).
@@ -281,6 +282,29 @@ impl Trace {
         push_span(&mut self.lines, lines)
     }
 
+    /// Appends the cache lines of a `bytes`-byte access at `addr` to the
+    /// line pool, skipping a repeat of the last line appended since the
+    /// pool held `since` entries (the start of the current op's run).
+    pub(crate) fn push_access_lines(&mut self, since: usize, addr: u64, bytes: u64) {
+        let first = addr / LINE_BYTES;
+        let last = (addr + bytes - 1) / LINE_BYTES;
+        for l in first..=last {
+            if self.lines.len() == since || self.lines.last() != Some(&l) {
+                self.lines.push(l);
+            }
+        }
+    }
+
+    /// The span of the line-pool entries appended since the pool held
+    /// `start` entries.
+    ///
+    /// # Panics
+    ///
+    /// As [`push_lines`](Self::push_lines).
+    pub(crate) fn lines_since(&self, start: usize) -> Span {
+        span_of(start, self.lines.len() - start)
+    }
+
     /// Appends `refs` to the stream-ref pool and returns their span.
     ///
     /// # Panics
@@ -372,15 +396,20 @@ impl Trace {
 }
 
 fn push_span<T: Copy>(pool: &mut Vec<T>, items: &[T]) -> Span {
-    if items.is_empty() {
-        return Span::default();
-    }
-    let span = Span {
-        start: u32::try_from(pool.len()).expect("trace pool outgrew u32 indices"),
-        len: u8::try_from(items.len()).expect("more than 255 pool entries for one op"),
-    };
+    let span = span_of(pool.len(), items.len());
     pool.extend_from_slice(items);
     span
+}
+
+/// The span of `len` pool entries from `start` (the default span if empty).
+fn span_of(start: usize, len: usize) -> Span {
+    if len == 0 {
+        return Span::default();
+    }
+    Span {
+        start: u32::try_from(start).expect("trace pool outgrew u32 indices"),
+        len: u8::try_from(len).expect("more than 255 pool entries for one op"),
+    }
 }
 
 #[cfg(test)]

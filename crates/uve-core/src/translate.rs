@@ -51,11 +51,100 @@ pub struct Block {
     pub flats: Vec<FlatOp>,
     /// The matching source instructions, for per-instruction fallback.
     pub insts: Vec<Inst>,
-    /// True when every op before the last is [`FlatOp::is_simple`] —
-    /// infallible, non-redirecting, scalar-only. The executor then runs the
-    /// body with no per-instruction control-flow or error machinery (only
-    /// the final op of a block can branch, by construction).
-    pub simple_body: bool,
+    /// Set when every op before the last is [`FlatOp::is_simple`] —
+    /// infallible, non-redirecting, scalar-only: those ops, with adjacent
+    /// pairs fused into superinstructions ([`FlatOp::AddI2`],
+    /// [`FlatOp::FldW2`], [`FlatOp::FstWAddI`]). The executor then runs
+    /// the body with no per-instruction control-flow or error machinery
+    /// (only the final op of a block can branch, by construction).
+    pub body: Option<Vec<FlatOp>>,
+}
+
+/// Fuses adjacent pairs of `ops` (all simple) into superinstructions,
+/// greedily from the front. Fused ops run in program order, so fusion
+/// needs no dependence check.
+fn fuse_body(ops: &[FlatOp]) -> Vec<FlatOp> {
+    let mut out = Vec::with_capacity(ops.len());
+    let mut i = 0;
+    while i < ops.len() {
+        match ops.get(i + 1).and_then(|&next| fuse_pair(ops[i], next)) {
+            Some(op) => {
+                out.push(op);
+                i += 2;
+            }
+            None => {
+                out.push(ops[i]);
+                i += 1;
+            }
+        }
+    }
+    out
+}
+
+/// The superinstruction for `a` then `b`, if there is one (immediates and
+/// offsets must fit its 32-bit fields).
+fn fuse_pair(a: FlatOp, b: FlatOp) -> Option<FlatOp> {
+    use uve_isa::{AluOp, ElemWidth};
+    match (a, b) {
+        (
+            FlatOp::AluImm {
+                op: AluOp::Add,
+                rd: rd0,
+                rs1: rs0,
+                imm: imm0,
+            },
+            FlatOp::AluImm {
+                op: AluOp::Add,
+                rd: rd1,
+                rs1: rs1_,
+                imm: imm1,
+            },
+        ) => Some(FlatOp::AddI2 {
+            rd: [rd0, rd1],
+            rs1: [rs0, rs1_],
+            imm: [i32::try_from(imm0).ok()?, i32::try_from(imm1).ok()?],
+        }),
+        (
+            FlatOp::Fld {
+                fd: fd0,
+                base: b0,
+                off: o0,
+                width: ElemWidth::Word,
+            },
+            FlatOp::Fld {
+                fd: fd1,
+                base: b1,
+                off: o1,
+                width: ElemWidth::Word,
+            },
+        ) => Some(FlatOp::FldW2 {
+            fd: [fd0, fd1],
+            base: [b0, b1],
+            off: [i32::try_from(o0).ok()?, i32::try_from(o1).ok()?],
+        }),
+        (
+            FlatOp::Fst {
+                src,
+                base,
+                off,
+                width: ElemWidth::Word,
+            },
+            FlatOp::AluImm {
+                op: AluOp::Add,
+                rd,
+                rs1,
+                imm,
+            },
+        ) => Some(FlatOp::FstWAddI {
+            src,
+            base,
+            off: i32::try_from(off).ok()?,
+            rd,
+            rs1,
+            imm: i32::try_from(imm).ok()?,
+        }),
+        _ => None,
+    }
 }
 
 /// Per-emulator cache of translated blocks, indexed by block start PC.
@@ -154,12 +243,13 @@ fn translate_block(program: &Program, pc: u32) -> Option<Block> {
     if flats.is_empty() {
         return None;
     }
-    let simple_body = flats[..flats.len() - 1].iter().all(FlatOp::is_simple);
+    let head = &flats[..flats.len() - 1];
+    let body = head.iter().all(FlatOp::is_simple).then(|| fuse_body(head));
     Some(Block {
         start_pc: pc,
         flats,
         insts,
-        simple_body,
+        body,
     })
 }
 
@@ -195,6 +285,57 @@ loop:
         // A PC at halt or past the end has no block.
         assert!(translate_block(&p, 4).is_none());
         assert!(translate_block(&p, 99).is_none());
+    }
+
+    #[test]
+    fn simple_bodies_fuse_adjacent_pairs() {
+        let p = prog(
+            "
+loop:
+    fld.w f1, 0(x12)
+    fld.w f2, 0(x14)
+    fadd.w f1, f1, f2
+    fst.w f1, 0(x13)
+    addi x12, x12, 4
+    addi x13, x13, 4
+    addi x14, x14, 4
+    addi x10, x10, -1
+    bne x10, x0, loop
+    halt
+",
+        );
+        let b = translate_block(&p, 0).unwrap();
+        assert_eq!(b.flats.len(), 9, "flats keep one op per instruction");
+        let body = b.body.as_ref().expect("all-simple body");
+        assert!(matches!(body[0], FlatOp::FldW2 { fd: [1, 2], .. }));
+        assert!(matches!(body[1], FlatOp::FAlu { .. }));
+        assert!(matches!(
+            body[2],
+            FlatOp::FstWAddI {
+                src: 1,
+                base: 13,
+                rd: 12,
+                imm: 4,
+                ..
+            }
+        ));
+        assert!(matches!(
+            body[3],
+            FlatOp::AddI2 {
+                rd: [13, 14],
+                imm: [4, 4],
+                ..
+            }
+        ));
+        assert!(matches!(
+            body[4],
+            FlatOp::AluImm {
+                rd: 10,
+                imm: -1,
+                ..
+            }
+        ));
+        assert_eq!(body.len(), 5);
     }
 
     #[test]

@@ -284,6 +284,32 @@ pub enum FlatOp {
     /// Execute through the interpreter's `step` (stream configuration and
     /// control, lane extraction, `halt` reached mid-lowering).
     Fallback,
+
+    // ---- superinstructions: never produced by [`lower`] ----
+    /// Two adjacent `addi`s, run in order. Block translation fuses these
+    /// in straight-line bodies so a pair costs one dispatch.
+    AddI2 {
+        rd: [u8; 2],
+        rs1: [u8; 2],
+        imm: [i32; 2],
+    },
+    /// Two adjacent 32-bit float loads (`fld.w`), run in order; fused like
+    /// [`FlatOp::AddI2`].
+    FldW2 {
+        fd: [u8; 2],
+        base: [u8; 2],
+        off: [i32; 2],
+    },
+    /// A 32-bit float store (`fst.w`) then an `addi`, run in order; fused
+    /// like [`FlatOp::AddI2`].
+    FstWAddI {
+        src: u8,
+        base: u8,
+        off: i32,
+        rd: u8,
+        rs1: u8,
+        imm: i32,
+    },
 }
 
 impl FlatOp {
@@ -319,6 +345,9 @@ impl FlatOp {
                 | FlatOp::CntVl { .. }
                 | FlatOp::WhileLt { .. }
                 | FlatOp::PredAlu { .. }
+                | FlatOp::AddI2 { .. }
+                | FlatOp::FldW2 { .. }
+                | FlatOp::FstWAddI { .. }
         )
     }
 }

@@ -127,16 +127,13 @@ impl Memory {
     /// Reads one byte.
     #[inline]
     pub fn read_u8(&self, addr: u64) -> u8 {
-        match self.page(addr / PAGE_SIZE) {
-            Some(p) => p[(addr % PAGE_SIZE) as usize],
-            None => 0,
-        }
+        self.load::<1>(addr)[0]
     }
 
     /// Writes one byte.
     #[inline]
     pub fn write_u8(&mut self, addr: u64, v: u8) {
-        self.page_mut(addr / PAGE_SIZE)[(addr % PAGE_SIZE) as usize] = v;
+        self.store(addr, [v]);
     }
 
     /// Reads `buf.len()` bytes starting at `addr`.
@@ -172,46 +169,87 @@ impl Memory {
         }
     }
 
+    /// Loads `N` bytes at `addr`. An access inside one touched direct page
+    /// (nearly every emulated load) is an inlined table index and copy;
+    /// anything else takes the outlined [`read_bytes`](Self::read_bytes),
+    /// so callers never pay a call on the common case.
+    #[inline(always)]
+    fn load<const N: usize>(&self, addr: u64) -> [u8; N] {
+        let off = (addr % PAGE_SIZE) as usize;
+        // `direct` never grows past `DIRECT_PAGES`, so its bounds check
+        // also rules out far pages.
+        if off + N <= PAGE_SIZE as usize {
+            let num = usize::try_from(addr / PAGE_SIZE).ok();
+            if let Some(Some(p)) = num.and_then(|n| self.direct.get(n)) {
+                let mut b = [0; N];
+                b.copy_from_slice(&p[off..off + N]);
+                return b;
+            }
+        }
+        self.load_slow(addr)
+    }
+
+    #[inline(never)]
+    fn load_slow<const N: usize>(&self, addr: u64) -> [u8; N] {
+        let mut b = [0; N];
+        self.read_bytes(addr, &mut b);
+        b
+    }
+
+    /// Stores `bytes` at `addr`: the store twin of [`load`](Self::load),
+    /// with first-touch allocation and page straddles outlined.
+    #[inline(always)]
+    fn store<const N: usize>(&mut self, addr: u64, bytes: [u8; N]) {
+        let off = (addr % PAGE_SIZE) as usize;
+        if off + N <= PAGE_SIZE as usize {
+            let num = usize::try_from(addr / PAGE_SIZE).ok();
+            if let Some(Some(p)) = num.and_then(|n| self.direct.get_mut(n)) {
+                p[off..off + N].copy_from_slice(&bytes);
+                return;
+            }
+        }
+        self.store_slow(addr, bytes);
+    }
+
+    #[inline(never)]
+    fn store_slow<const N: usize>(&mut self, addr: u64, bytes: [u8; N]) {
+        self.write_bytes(addr, &bytes);
+    }
+
     /// Reads a little-endian `u16`.
     #[inline]
     pub fn read_u16(&self, addr: u64) -> u16 {
-        let mut b = [0; 2];
-        self.read_bytes(addr, &mut b);
-        u16::from_le_bytes(b)
+        u16::from_le_bytes(self.load(addr))
     }
 
     /// Reads a little-endian `u32`.
     #[inline]
     pub fn read_u32(&self, addr: u64) -> u32 {
-        let mut b = [0; 4];
-        self.read_bytes(addr, &mut b);
-        u32::from_le_bytes(b)
+        u32::from_le_bytes(self.load(addr))
     }
 
     /// Reads a little-endian `u64`.
     #[inline]
     pub fn read_u64(&self, addr: u64) -> u64 {
-        let mut b = [0; 8];
-        self.read_bytes(addr, &mut b);
-        u64::from_le_bytes(b)
+        u64::from_le_bytes(self.load(addr))
     }
 
     /// Writes a little-endian `u16`.
     #[inline]
     pub fn write_u16(&mut self, addr: u64, v: u16) {
-        self.write_bytes(addr, &v.to_le_bytes());
+        self.store(addr, v.to_le_bytes());
     }
 
     /// Writes a little-endian `u32`.
     #[inline]
     pub fn write_u32(&mut self, addr: u64, v: u32) {
-        self.write_bytes(addr, &v.to_le_bytes());
+        self.store(addr, v.to_le_bytes());
     }
 
     /// Writes a little-endian `u64`.
     #[inline]
     pub fn write_u64(&mut self, addr: u64, v: u64) {
-        self.write_bytes(addr, &v.to_le_bytes());
+        self.store(addr, v.to_le_bytes());
     }
 
     /// Reads an `f32`.

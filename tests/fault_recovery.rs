@@ -66,33 +66,6 @@ fn run_uve(
     )
 }
 
-#[test]
-fn recovered_faults_are_bit_identical_on_every_kernel() {
-    let mut total_faults = 0u64;
-    for bench in small_suite() {
-        let (clean_mem, clean_arch, clean_committed, _, _) = run_uve(bench.as_ref(), None);
-        // Rate 1: every first-touched page faults once.
-        let plan = StreamFaultPlan::new(0x5eed, 1);
-        let (mem, arch, committed, faults, _) = run_uve(bench.as_ref(), Some(plan));
-        assert_eq!(
-            mem,
-            clean_mem,
-            "{}: final memory diverged after {faults} recovered fault(s)",
-            bench.name()
-        );
-        assert_eq!(
-            arch,
-            clean_arch,
-            "{}: architectural state diverged after {faults} recovered fault(s)",
-            bench.name()
-        );
-        assert_eq!(committed, clean_committed, "{}", bench.name());
-        assert!(faults > 0, "{}: rate-1 plan must fault", bench.name());
-        total_faults += faults;
-    }
-    assert!(total_faults >= 19, "every kernel contributed faults");
-}
-
 /// Each pool of `t` holds exactly its ops' spans, laid end to end in op
 /// order: nothing a rolled-back attempt appended survives.
 fn assert_pools_tight(name: &str, t: &Trace) {
@@ -118,18 +91,35 @@ fn assert_pools_tight(name: &str, t: &Trace) {
     assert_eq!(t.stream_refs.len(), refs, "{name}: stream-ref pool");
 }
 
+/// Recovery leaves no mark but the trap stamps: final memory, architectural
+/// state and committed count match the clean run, and so does the whole
+/// recorded trace once `stream_faults` is scrubbed, with each trace pool
+/// holding exactly its ops' spans.
 #[test]
-fn fault_rollback_leaves_the_trace_pools_exact() {
+fn recovered_faults_are_bit_identical_on_every_kernel() {
+    let mut total_faults = 0u64;
     for bench in small_suite() {
         let name = bench.name();
-        let (_, _, _, _, clean) = run_uve(bench.as_ref(), None);
+        let (clean_mem, clean_arch, clean_committed, _, clean) = run_uve(bench.as_ref(), None);
+        // Rate 1: every first-touched page faults once.
         let plan = StreamFaultPlan::new(0x5eed, 1);
-        let (_, _, _, faults, faulted) = run_uve(bench.as_ref(), Some(plan));
+        let (mem, arch, committed, faults, faulted) = run_uve(bench.as_ref(), Some(plan));
+        assert_eq!(
+            mem, clean_mem,
+            "{name}: final memory diverged after {faults} recovered fault(s)"
+        );
+        assert_eq!(
+            arch, clean_arch,
+            "{name}: architectural state diverged after {faults} recovered fault(s)"
+        );
+        assert_eq!(committed, clean_committed, "{name}");
         assert!(faults > 0, "{name}: rate-1 plan must fault");
+        total_faults += faults;
+
         assert_pools_tight(name, &faulted);
         let stamped: u64 = faulted.ops.iter().map(|o| u64::from(o.stream_faults)).sum();
         assert_eq!(stamped, faults, "{name}: every trap is stamped on its op");
-        let mut scrubbed = faulted.clone();
+        let mut scrubbed = faulted;
         for op in &mut scrubbed.ops {
             op.stream_faults = 0;
         }
@@ -138,6 +128,7 @@ fn fault_rollback_leaves_the_trace_pools_exact() {
             "{name}: recovered trace differs from the clean one"
         );
     }
+    assert!(total_faults >= 19, "every kernel contributed faults");
 }
 
 #[test]
